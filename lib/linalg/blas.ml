@@ -13,8 +13,9 @@ let op_dims trans (m : Mat.t) =
    adds per kernel call — O(1) against the O(n^3) (or O(n^2)) work of the
    call itself. Counter names: blas.<kernel>.{calls,flops,bytes}.
 
-   Tallies are created on first use, not at module init: a kernel that is
-   never called leaves no zero-valued counters in the registry export. *)
+   This module's own tallies are created at module init: a first use
+   racing from several domains must find them built (a [lazy] forced
+   concurrently raises [CamlinternalLazy.Undefined]). *)
 module Metrics = Xsc_obs.Metrics
 
 type tally = { calls : Metrics.counter; flops : Metrics.counter; bytes : Metrics.counter }
@@ -26,13 +27,12 @@ let make_tally kernel =
     bytes = Metrics.counter (Printf.sprintf "blas.%s.bytes" kernel);
   }
 
-let t_gemm = lazy (make_tally "gemm")
-let t_syrk = lazy (make_tally "syrk")
-let t_trsm = lazy (make_tally "trsm")
-let t_gemv = lazy (make_tally "gemv")
+let t_gemm = make_tally "gemm"
+let t_syrk = make_tally "syrk"
+let t_trsm = make_tally "trsm"
+let t_gemv = make_tally "gemv"
 
-let[@inline] tally lt ~flops ~bytes =
-  let t = Lazy.force lt in
+let[@inline] tally t ~flops ~bytes =
   Metrics.incr t.calls;
   Metrics.add t.flops (int_of_float flops);
   Metrics.add t.bytes (int_of_float bytes)

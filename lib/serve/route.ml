@@ -58,20 +58,29 @@ let default_nb () = Xsc_tile.Packed.tuned_nb ~fallback:64
 let pack_padded (p : PD.t) (a : Mat.t) =
   let n = a.Mat.rows in
   let nb = p.PD.nb in
-  let ad = a.Mat.data in
+  let ad = a.Mat.data and buf = p.PD.buf in
   for bi = 0 to p.PD.nt - 1 do
     for bj = 0 to p.PD.nt - 1 do
       let base = PD.off p bi bj in
+      let j0 = bj * nb in
+      (* columns [j0, head) come from [a]; the rest of the row is pad *)
+      let head = max j0 (min n (j0 + nb)) in
       for r = 0 to nb - 1 do
         let gi = (bi * nb) + r in
-        let row = base + (r * nb) in
-        for c = 0 to nb - 1 do
-          let gj = (bj * nb) + c in
-          p.PD.buf.{row + c} <-
-            (if gi < n && gj < n then ad.((gi * n) + gj)
-             else if gi = gj then 1.0
-             else 0.0)
-        done
+        let dst = base + (r * nb) - j0 in
+        if gi < n then begin
+          let src = gi * n in
+          for gj = j0 to head - 1 do
+            buf.{dst + gj} <- ad.(src + gj)
+          done;
+          for gj = head to j0 + nb - 1 do
+            buf.{dst + gj} <- 0.0
+          done
+        end
+        else
+          for gj = j0 to j0 + nb - 1 do
+            buf.{dst + gj} <- (if gi = gj then 1.0 else 0.0)
+          done
       done
     done
   done

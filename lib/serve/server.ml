@@ -1,21 +1,34 @@
 (* The concurrent solver service: admission -> bounded ingress queue ->
-   dynamic batcher -> EDF ready heap -> persistent worker pool.
+   dynamic batcher -> EDF ready heap -> execution ([Slot] worker domains
+   or the shared deadline-aware task pool).
 
    Concurrency structure: submit-side state is atomics (the admission
    window) plus the bounded ingress queue; batcher and EDF heap are owned
-   by whichever worker holds the single state mutex, so they stay simple
-   single-threaded data structures. Workers pull: each loop iteration
-   drains the ingress into the batcher, flushes due batches into the heap,
-   and either executes the most urgent batch or sleeps one poll interval
-   (OCaml's [Condition] has no timed wait, so the time-triggered flush is
-   polled; with a 200 us poll against a >= 1 ms linger the flush-time error
-   is noise).
+   by whichever domain holds the single state mutex, so they stay simple
+   single-threaded data structures.
+
+   [Shared] mode runs one event-driven pump domain. Each pass drains the
+   ingress into the batcher, flushes every open batch at once (a batch
+   buys nothing there: each member becomes its own pool DAG, and the pool
+   already orders tasks by deadline), resubmits due retries and claims
+   eligible batches. With nothing to do it blocks on a [Condition]; every
+   producer of pump work wakes it — [submit] after an accepted push, a
+   pool completion on a retry enqueue or a freed class-cap slot, the last
+   completion during [stop], and [stop] itself. An idle server therefore
+   costs no CPU. The one timed sleep left is while a retry backoff is
+   pending (OCaml's [Condition] has no timed wait).
+
+   [Slot] mode keeps its worker domains pulling: each loop iteration
+   drains the ingress, flushes batches whose linger expired, and either
+   executes the most urgent batch or sleeps one 200 us poll interval
+   against a >= 1 ms linger.
 
    Fault isolation is per request: batch members run as independent
-   result-slots ([Batched.run_batch_results]), so one singular matrix or
-   injected fault fails exactly one request with a typed error; transient
-   injected faults are retried with exponential backoff on the same worker;
-   the server itself never goes down from a request failure.
+   result-slots ([Batched.run_batch_results]) or independent pool jobs,
+   so one singular matrix or injected fault fails exactly one request
+   with a typed error; transient injected faults are retried with
+   exponential backoff; the server itself never goes down from a request
+   failure.
 
    The admission window counts a request from accept to completion
    (queued, staged in the batcher, or executing) — backpressure engages
@@ -24,13 +37,14 @@
    [capacity] end to end.
 
    In [Shared] mode the window is measured against actual in-flight work
-   instead of raw request counts: occupancy is [Pool.live_jobs] (DAGs
-   live in the shared pool) plus requests still travelling towards the
-   pool (ingress/batcher/EDF heap). A request waiting out a transient
-   retry backoff holds no pool lane, so it does not count against the
-   window — admission keeps flowing while retries sleep, and in-system
-   memory is bounded by [capacity] plus the (transient) backoff
-   population. *)
+   instead of raw request counts: a request occupies it from admission
+   until its attempt leaves the pool (the top of the pool's completion
+   callback, before the ticket resolves — so a client that resubmits the
+   moment its answer arrives finds the slot already free). A request
+   waiting out a transient retry backoff holds no pool lane, so it does
+   not count against the window — admission keeps flowing while retries
+   sleep, and in-system memory is bounded by [capacity] plus the
+   (transient) backoff population. *)
 
 open Xsc_linalg
 module Clock = Xsc_obs.Clock
@@ -43,6 +57,8 @@ module Pool = Xsc_runtime.Pool
 module Harness = Xsc_resilience.Harness
 module Flight = Xsc_resilience.Flight
 
+(* [Slot] workers' idle poll, and the longest [Shared] pump sleep while a
+   retry backoff is pending *)
 let poll_s = 0.0002
 
 let m_admitted = Metrics.counter "serve.admitted"
@@ -163,13 +179,18 @@ type t = {
   (* ---- retry queue (Shared mode), under [retry_mu] ---- *)
   retry_mu : Mutex.t;
   mutable retry_q : retry_entry list;
+  (* ---- pump wakeup (Shared mode) ---- *)
+  pump_gen : int Atomic.t;  (* bumped by every producer of pump work *)
+  pump_waiting : bool Atomic.t;  (* the pump is (about to be) blocked *)
+  wake_mu : Mutex.t;
+  wake_cv : Condition.t;
   (* ---- submit-side state ---- *)
   in_system : int Atomic.t;  (* admitted and not yet completed *)
-  staged : int Atomic.t;
-  (* Shared mode: admitted and not yet live in the pool (ingress, batcher,
-     EDF heap, dispatch in flight). The admission occupancy is
-     [staged + Pool.live_jobs]: work the pipeline is actually carrying.
-     A retry sleeping out its backoff is in neither term — by design. *)
+  occupied : int Atomic.t;
+  (* Shared mode's admission occupancy: requests from admission until
+     their attempt leaves the pool (ingress, batcher, EDF heap, dispatch,
+     live in the pool), plus retries resubmitted into it. A retry sleeping
+     out its backoff is not counted — by design. *)
   next_id : int Atomic.t;
   stopping : bool Atomic.t;
   start_ns : int;
@@ -186,6 +207,25 @@ type t = {
    spans on one extra virtual lane *)
 let exec_lanes cfg = match cfg.dispatch with Slot -> cfg.workers | Shared n -> n
 let queue_lane cfg = exec_lanes cfg
+
+(* Publish-then-wake, the mirror of the pump's [park]: a producer makes its
+   work visible, bumps [pump_gen], then reads [pump_waiting]; the pump sets
+   [pump_waiting], then re-reads [pump_gen] under [wake_mu] before it
+   waits. If that re-read misses the bump, the producer's read of the flag
+   came after the pump set it, so the producer signals — and [wake_mu]
+   orders the signal after the pump is inside [Condition.wait]. While the
+   pump is awake a producer pays two atomics and no syscall. *)
+let wake t =
+  Atomic.incr t.pump_gen;
+  if Atomic.get t.pump_waiting then begin
+    Mutex.lock t.wake_mu;
+    Condition.signal t.wake_cv;
+    Mutex.unlock t.wake_mu
+  end
+
+(* A request leaves the system. The last one out during [stop] wakes the
+   pump, which exits once nothing is in-system. *)
+let leave t = if Atomic.fetch_and_add t.in_system (-1) = 1 && Atomic.get t.stopping then wake t
 
 (* ---- request execution ---- *)
 
@@ -360,7 +400,7 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
     Mutex.unlock tk.t_mu
   | None -> ());
   (* last: only a fully completed request frees an admission slot *)
-  ignore (Atomic.fetch_and_add t.in_system (-1))
+  leave t
 
 let execute t worker (batch : Request.t Batcher.batch) =
   let dispatch_ns = Clock.now_ns () in
@@ -423,10 +463,9 @@ let cap_for t kind =
   go 0
 
 let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
-  (* the attempt's DAG counts in [Pool.live_jobs] once submitted; for the
-     first attempt the [staged] slot claimed at admission is released just
-     after Pool.submit returns, so the occupancy briefly double-counts
-     (conservative) and never dips *)
+  (* a first attempt already holds the [occupied] slot claimed at
+     admission; a retry takes one again while it is back in the pool *)
+  if attempt > 0 then Atomic.incr t.occupied;
   let m0 = Gcstat.minor_words () in
   let plan = Route.plan ?harness:t.harness ~key:r.Request.id r.Request.payload in
   let plan_alloc = Gcstat.minor_words () -. m0 in
@@ -453,9 +492,15 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
   (match cap with Some cc -> Atomic.incr cc.cc_live | None -> ());
   Pool.submit ?interp:plan.Route.interp ~deadline_ns:r.Request.deadline_ns ?sctx:actx
     pool plan.Route.dag ~on_done:(fun failure ~worker ->
-      (* the attempt left the pool: free its class-cap slot first, so the
-         pump can dispatch the class's next batch while we settle this one *)
-      (match cap with Some cc -> ignore (Atomic.fetch_and_add cc.cc_live (-1)) | None -> ());
+      (* the attempt left the pool: free its admission slot before the
+         ticket resolves, and its class-cap slot, so the pump can dispatch
+         the class's next batch while we settle this one *)
+      Atomic.decr t.occupied;
+      (match cap with
+      | Some cc ->
+        Atomic.decr cc.cc_live;
+        wake t
+      | None -> ());
       note_attempt ~worker;
       match failure with
       | None -> (
@@ -494,13 +539,14 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
           in
           Mutex.lock t.retry_mu;
           t.retry_q <- entry :: t.retry_q;
-          Mutex.unlock t.retry_mu
+          Mutex.unlock t.retry_mu;
+          wake t
         | e ->
           complete t r
             (Error (Request.Failed { attempts = attempt + 1; error = Printexc.to_string e }))
-            ~retries:attempt ~dispatch_ns ~worker));
-  if attempt = 0 then ignore (Atomic.fetch_and_add t.staged (-1))
+            ~retries:attempt ~dispatch_ns ~worker))
 
+(* Resubmit every due retry; returns the earliest due time still pending. *)
 and service_retries t pool =
   let now = Clock.now_ns () in
   Mutex.lock t.retry_mu;
@@ -511,7 +557,10 @@ and service_retries t pool =
     (fun e ->
       submit_to_pool t pool e.re_req ~attempt:e.re_attempt ~dispatch_ns:e.re_dispatch_ns)
     (* oldest due first, so equal-backoff retries resubmit in fault order *)
-    (List.sort (fun a b -> compare a.re_due_ns b.re_due_ns) due)
+    (List.sort (fun a b -> compare a.re_due_ns b.re_due_ns) due);
+  match later with
+  | [] -> None
+  | e :: rest -> Some (List.fold_left (fun m e -> min m e.re_due_ns) e.re_due_ns rest)
 
 (* A claimed batch in Shared mode is a dispatch unit only: each member
    becomes its own DAG submission (sharing the batch's dispatch stamp),
@@ -531,7 +580,8 @@ let dispatch_batch_pool t pool (batch : Request.t Batcher.batch) =
    the most urgent ready batch. One state lock covers ingress drain, flush
    and claim, so batches can never be claimed twice. [eligible] filters
    the claim (class-aware dispatch): ineligible batches keep their EDF
-   place in the heap. *)
+   place in the heap. [Slot] flushes a batch once its linger expires;
+   [Shared] (and a stopping server) flushes every open batch at once. *)
 let next_batch ?(eligible = fun _ -> true) t =
   Mutex.lock t.mu;
   let now = Clock.now_ns () in
@@ -545,10 +595,9 @@ let next_batch ?(eligible = fun _ -> true) t =
       drain ()
   in
   drain ();
-  List.iter (Scheduler.push t.sched) (Batcher.flush_due t.batcher ~now_ns:now);
-  if Atomic.get t.stopping then
-    (* no more company is coming: flush partial batches immediately *)
-    List.iter (Scheduler.push t.sched) (Batcher.flush_all t.batcher);
+  List.iter (Scheduler.push t.sched)
+    (if Option.is_some t.pool || Atomic.get t.stopping then Batcher.flush_all t.batcher
+     else Batcher.flush_due t.batcher ~now_ns:now);
   let b = Scheduler.pop_when eligible t.sched in
   Mutex.unlock t.mu;
   b
@@ -584,20 +633,35 @@ let rec worker_loop t w =
       worker_loop t w
     end
 
+(* The pump's idle wait (see [wake]): block unless some producer has
+   published work since the pass that found none began at [gen]. *)
+let park t gen =
+  Atomic.set t.pump_waiting true;
+  Mutex.lock t.wake_mu;
+  if Atomic.get t.pump_gen = gen then Condition.wait t.wake_cv t.wake_mu;
+  Mutex.unlock t.wake_mu;
+  Atomic.set t.pump_waiting false
+
 (* Shared mode runs ONE pump domain: it drains admission into the batcher,
    dispatches claimed batches into the pool without blocking on them, and
    resubmits due retries. It exits only when nothing is in-system — every
-   admitted request has fully settled through its completion callback. *)
+   admitted request has fully settled through its completion callback —
+   and the ingress is closed: a submit that raced [stop] either counted
+   itself in-system before the close or finds the ingress closed. *)
 let rec pump_loop t pool =
-  service_retries t pool;
+  let gen = Atomic.get t.pump_gen in
+  let next_retry_ns = service_retries t pool in
   match next_batch ~eligible:(batch_eligible t) t with
   | Some b ->
     dispatch_batch_pool t pool b;
     pump_loop t pool
   | None ->
-    if Atomic.get t.stopping && Atomic.get t.in_system = 0 then ()
+    if Queue.is_closed t.ingress && Atomic.get t.in_system = 0 then ()
     else begin
-      Unix.sleepf poll_s;
+      (match next_retry_ns with
+      | None -> park t gen
+      | Some due_ns ->
+        Unix.sleepf (Float.min poll_s (Float.max 0.0 (Clock.ns_to_s (due_ns - Clock.now_ns ())))));
       pump_loop t pool
     end
 
@@ -660,8 +724,12 @@ let start ?harness cfg =
       spans = [];
       retry_mu = Mutex.create ();
       retry_q = [];
+      pump_gen = Atomic.make 0;
+      pump_waiting = Atomic.make false;
+      wake_mu = Mutex.create ();
+      wake_cv = Condition.create ();
       in_system = Atomic.make 0;
-      staged = Atomic.make 0;
+      occupied = Atomic.make 0;
       next_id = Atomic.make 0;
       stopping = Atomic.make false;
       start_ns = Clock.now_ns ();
@@ -695,15 +763,13 @@ let reject t reason =
    [Slot]: requests in-system (accept -> completion), the only load signal
    a run-to-completion worker pool has.
 
-   [Shared]: actual in-flight work — DAGs live in the shared pool
-   ([Pool.live_jobs]) plus requests still travelling towards it
-   ([staged]). A request asleep in the retry queue holds no pool lane and
-   is counted by neither term, so a transient-fault storm does not wedge
-   the admission window shut while everyone waits out backoff. *)
-let occupancy t =
-  match t.pool with
-  | None -> Atomic.get t.in_system
-  | Some p -> Atomic.get t.staged + Pool.live_jobs p
+   [Shared]: actual in-flight work — requests travelling towards the
+   shared pool or live in it ([occupied]). A request asleep in the retry
+   queue holds no pool lane and is not counted, so a transient-fault storm
+   does not wedge the admission window shut while everyone waits out
+   backoff. *)
+let window t = match t.pool with None -> t.in_system | Some _ -> t.occupied
+let occupancy t = Atomic.get (window t)
 
 let submit t ?deadline_s payload =
   Request.validate payload;
@@ -712,30 +778,16 @@ let submit t ?deadline_s payload =
   if Atomic.get t.stopping then reject t Request.Shutting_down
   else begin
     (* the admission window: claim a slot before queueing, release on
-       completion (Slot) or on going live in the pool (Shared) — over-claim
-       is undone immediately, so occupancy never stays above capacity *)
-    let admitted =
-      match t.pool with
-      | None ->
-        let prev = Atomic.fetch_and_add t.in_system 1 in
-        if prev >= t.cfg.capacity then begin
-          ignore (Atomic.fetch_and_add t.in_system (-1));
-          false
-        end
-        else true
-      | Some p ->
-        let prev = Atomic.fetch_and_add t.staged 1 in
-        if prev + Pool.live_jobs p >= t.cfg.capacity then begin
-          ignore (Atomic.fetch_and_add t.staged (-1));
-          false
-        end
-        else begin
-          ignore (Atomic.fetch_and_add t.in_system 1);
-          true
-        end
-    in
-    if not admitted then reject t Request.Queue_full
+       completion (Slot) or on leaving the pool (Shared) — over-claim is
+       undone immediately, so occupancy never stays above capacity *)
+    let w = window t in
+    if Atomic.fetch_and_add w 1 >= t.cfg.capacity then begin
+      Atomic.decr w;
+      reject t Request.Queue_full
+    end
     else begin
+      (* Shared: the window is [occupied]; [in_system] counts alongside *)
+      if Option.is_some t.pool then Atomic.incr t.in_system;
       let id = Atomic.fetch_and_add t.next_id 1 in
       let now = Clock.now_ns () in
       let req =
@@ -755,15 +807,14 @@ let submit t ?deadline_s payload =
       | Queue.Accepted ->
         Atomic.incr t.c_admitted;
         Metrics.incr m_admitted;
+        wake t;
         Ok tk
       | (Queue.Full | Queue.Closed) as pr ->
         Mutex.lock t.mu;
         Hashtbl.remove t.tickets id;
         Mutex.unlock t.mu;
-        ignore (Atomic.fetch_and_add t.in_system (-1));
-        (match t.pool with
-        | Some _ -> ignore (Atomic.fetch_and_add t.staged (-1))
-        | None -> ());
+        if Option.is_some t.pool then Atomic.decr w;
+        leave t;
         reject t
           (if pr = Queue.Closed then Request.Shutting_down else Request.Queue_full)
     end
@@ -787,6 +838,7 @@ let poll _t tk =
 let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     Queue.close t.ingress;
+    wake t;
     Array.iter Domain.join t.domains;
     (* the pump exits only at in_system = 0, so shutdown finds the pool
        quiescent — this join is the worker domains, not a drain *)

@@ -10,9 +10,9 @@
 
     The window is measured differently per dispatch mode (see
     {!occupancy}): [Slot] counts requests in-system; [Shared] counts
-    actual in-flight work — live pool jobs plus requests still travelling
-    towards the pool — so a retry asleep in backoff frees its slot and
-    in-system memory is bounded by [capacity] plus the transient backoff
+    actual in-flight work — requests travelling towards the pool or live
+    in it — so a retry asleep in backoff frees its slot and in-system
+    memory is bounded by [capacity] plus the transient backoff
     population.
 
     {2 Fault isolation}
@@ -62,7 +62,13 @@
     a failing task aborts only its own job, retries resubmit after
     backoff (the pump holds them; no pool lane ever sleeps), and task
     spans parent onto the submitting request even when many requests
-    interleave on one lane. *)
+    interleave on one lane.
+
+    [Shared] does not linger: each member of a batch is its own pool job
+    and the pool already orders tasks by deadline, so waiting for batch
+    company would only add delay. One event-driven pump domain dispatches
+    whatever has arrived as soon as it is woken, and blocks (no polling,
+    no CPU) while there is nothing to do. *)
 type dispatch =
   | Slot
   | Shared of int
@@ -70,8 +76,10 @@ type dispatch =
 type config = {
   workers : int;  (** persistent worker domains ([Slot] mode) *)
   capacity : int;  (** admission window: max requests in-system at once *)
-  max_batch : int;  (** size-triggered batch flush *)
-  linger_s : float;  (** time-triggered batch flush *)
+  max_batch : int;  (** size-triggered batch flush ([Slot] mode) *)
+  linger_s : float;
+      (** time-triggered batch flush ([Slot] mode; [Shared] flushes every
+          open batch at once) *)
   default_deadline_s : float;  (** deadline when [submit] passes none *)
   max_retries : int;  (** retry budget for transient injected faults *)
   retry_backoff_s : float;  (** base backoff, doubled per retry *)
@@ -91,11 +99,11 @@ type config = {
 }
 
 val default_config : config
-(** Shared-pool dispatch on 2 domains (the default since the Shared path
-    soaked through PRs 8-9 CI; [workers] only applies when [Slot] is
-    selected), capacity 64, batches of 8 with a 2 ms linger, 250 ms
-    deadline, 3 retries from a 0.5 ms base backoff; spans on, no SLOs, no
-    class caps, flight recorder unarmed. *)
+(** Shared-pool dispatch on 2 domains ([workers], [max_batch] and
+    [linger_s] only apply when [Slot] is selected: 2 workers, batches of
+    8 with a 2 ms linger), capacity 64, 250 ms deadline, 3 retries from a
+    0.5 ms base backoff; spans on, no SLOs, no class caps, flight
+    recorder unarmed. *)
 
 type t
 type ticket
@@ -109,8 +117,10 @@ type counters = {
   batches : int;  (** batches dispatched *)
   cap_deferred : int;
       (** class-aware dispatch deferral events: claims where a capped
-          class's most-urgent batch was held back (one per pump claim
-          attempt while blocked, so a diagnostic rate, not a batch count) *)
+          class's most-urgent batch was held back (one per pump pass while
+          blocked; the pump passes once per wakeup — an admission, a
+          retry, a freed cap slot — so a diagnostic rate, not a batch
+          count) *)
 }
 
 val start : ?harness:Xsc_resilience.Harness.t -> config -> t
@@ -151,11 +161,12 @@ val class_live : t -> string -> int
 val occupancy : t -> int
 (** Momentary admission-window occupancy, the quantity {!submit} compares
     against [capacity]. [Slot]: the in-system count. [Shared]: actual
-    in-flight work — DAGs live in the shared pool
-    ({!Xsc_runtime.Pool.live_jobs}) plus requests still travelling towards
-    it; a request waiting out a transient retry backoff holds no pool
-    lane and counts towards neither term, so admission keeps flowing
-    while retries sleep. *)
+    in-flight work — requests from admission until their attempt leaves
+    the shared pool, plus retries back in it. A slot frees before the
+    request's ticket resolves, so a client resubmitting the moment its
+    answer arrives is never refused for it. A request waiting out a
+    transient retry backoff holds no pool lane and is not counted, so
+    admission keeps flowing while retries sleep. *)
 
 val trace : t -> Xsc_runtime.Trace.t
 (** Spans of every completed request: service spans on worker lanes

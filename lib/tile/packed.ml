@@ -132,24 +132,39 @@ module D = struct
   (* Solve L Lᵀ x = b against the packed factor in place (no unpack to a
      dense Mat): forward then transposed-backward substitution, element
      order identical to Blas.trsv on the unpacked factor, so the result is
-     bitwise equal to unpack-then-trsv. *)
+     bitwise equal to unpack-then-trsv. The loops walk the factor tile by
+     tile rather than locating every element with {!get}'s divisions: a
+     served request runs this solve in its pool completion callback, where
+     an element-wise n=512 solve held the lane for milliseconds. *)
   let potrs t b =
-    let n = t.n in
+    let n = t.n and nb = t.nb and buf = t.buf in
     if Array.length b <> n then invalid_arg "Packed.D.potrs: dimension mismatch";
     let y = Array.copy b in
+    (* forward: L(i, j) for j = 0 .. i-1, tile (bi, bj) row r *)
     for i = 0 to n - 1 do
+      let bi = i / nb and r = i mod nb in
       let acc = ref y.(i) in
-      for j = 0 to i - 1 do
-        acc := !acc -. (get t i j *. y.(j))
+      for bj = 0 to bi do
+        let j0 = bj * nb in
+        let row = off t bi bj + (r * nb) - j0 in
+        for j = j0 to min (j0 + nb) i - 1 do
+          acc := !acc -. (buf.{row + j} *. y.(j))
+        done
       done;
-      y.(i) <- !acc /. get t i i
+      y.(i) <- !acc /. buf.{off t bi bi + (r * nb) + r}
     done;
+    (* backward: L(j, i) for j = i+1 .. n-1, tile (bj, bi) column c *)
     for i = n - 1 downto 0 do
+      let bi = i / nb and c = i mod nb in
       let acc = ref y.(i) in
-      for j = i + 1 to n - 1 do
-        acc := !acc -. (get t j i *. y.(j))
+      for bj = bi to t.nt - 1 do
+        let j0 = bj * nb in
+        let col = off t bj bi + c - (j0 * nb) in
+        for j = max (i + 1) j0 to j0 + nb - 1 do
+          acc := !acc -. (buf.{col + (j * nb)} *. y.(j))
+        done
       done;
-      y.(i) <- !acc /. get t i i
+      y.(i) <- !acc /. buf.{off t bi bi + (c * nb) + c}
     done;
     y
 

@@ -341,6 +341,25 @@ let test_set_cfg_validation () =
       Alcotest.(check bool) "reset restores default" true
         (Pblas.cfg Pblas.F32 Pblas.Syrk_ln = Pblas.default_cfg))
 
+(* The tile-walking packed solve against the dense oracle it must match
+   bit for bit: unpack the factor, then Lapack.potrs (two Blas.trsv). *)
+let test_potrs_bitwise () =
+  List.iter
+    (fun (nt, nb) ->
+      let n = nt * nb in
+      let rng = Rng.create ((nt * 37) + nb) in
+      let p = Packed.D.of_mat ~nb (Mat.random_spd rng n) in
+      Packed.D.potrf p;
+      let b = Vec.random rng n in
+      let x = Array.copy b in
+      Lapack.potrs (Packed.D.to_mat p) x;
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d nb=%d bitwise" n nb)
+        true
+        (Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) x
+           (Packed.D.potrs p b)))
+    [ (1, 1); (1, 8); (3, 4); (4, 32); (2, 48); (3, 72) ]
+
 let test_potrs_f32 () =
   let nb = 32 in
   let n = 2 * nb in
@@ -400,6 +419,7 @@ let () =
         [
           Alcotest.test_case "gemm vs reference" `Quick test_gemm_matches_reference;
           Alcotest.test_case "potrf singular" `Quick test_potrf_singular;
+          Alcotest.test_case "potrs bitwise vs unpacked trsv" `Quick test_potrs_bitwise;
         ] );
       ( "float32",
         [

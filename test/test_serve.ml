@@ -643,6 +643,146 @@ let test_shared_soak () =
     true
     (second < first *. 1.5)
 
+(* ---- the event-driven Shared pump ---- *)
+
+(* [Server.await] with a watchdog: a lost pump wakeup fails the test
+   instead of hanging it. Polling the ticket does not wake the pump. *)
+let await_within ?(timeout_s = 5.0) srv tk =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    match Server.poll srv tk with
+    | Some c -> c
+    | None ->
+      if Unix.gettimeofday () > deadline then Alcotest.fail "request never resolved (lost pump wakeup?)";
+      Unix.sleepf 0.0001;
+      go ()
+  in
+  go ()
+
+let small_spd rng = Request.Spd_solve (Mat.random_spd rng 6, Vec.random rng 6)
+
+let expect_ok (c : Request.completion) =
+  match c.Request.outcome with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("request failed: " ^ Request.error_message e)
+
+(* Shared dispatch does not linger: a lone request on an idle server is
+   dispatched as soon as the pump wakes, whatever [linger_s] says. (Its
+   deadline lies beyond the linger, so the batcher's deadline-urgency
+   trigger would not flush it either.) *)
+let test_pump_no_linger () =
+  let srv = Server.start { Server.default_config with linger_s = 1.0 } in
+  let rng = Rng.create 71 in
+  (* let the pump reach its idle wait first *)
+  Unix.sleepf 0.02;
+  let t0 = Unix.gettimeofday () in
+  let c = await_within srv (Result.get_ok (Server.submit srv ~deadline_s:10.0 (small_spd rng))) in
+  let dt = Unix.gettimeofday () -. t0 in
+  expect_ok c;
+  Server.stop srv;
+  Alcotest.(check bool) (Printf.sprintf "lone request resolved in %.1f ms (< 100 ms)" (dt *. 1e3)) true
+    (dt < 0.1)
+
+(* An idle server blocks instead of polling: over one second, the whole
+   process (pump and pool workers) burns under 1% of one core. *)
+let test_pump_idle_cpu () =
+  let srv = Server.start Server.default_config in
+  let rng = Rng.create 73 in
+  expect_ok (await_within srv (Result.get_ok (Server.submit srv (small_spd rng))));
+  Unix.sleepf 0.05;
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
+  let c0 = cpu () and w0 = Unix.gettimeofday () in
+  Unix.sleepf 1.0;
+  let used = cpu () -. c0 and wall = Unix.gettimeofday () -. w0 in
+  Server.stop srv;
+  let share = used /. wall in
+  Alcotest.(check bool) (Printf.sprintf "idle CPU %.2f%% of one core (< 1%%)" (share *. 100.0)) true
+    (share < 0.01)
+
+(* 500 rounds of: submit A, wait a random 0-300 us, submit B, await both,
+   wait again. B lands while the pump is blocked, waking up for A, or
+   mid-pass on A — every interleaving a lost wakeup lives in — and nothing
+   later arrives to rescue a lost one, so it would show as a hang. *)
+let test_pump_no_lost_wakeup () =
+  let srv = Server.start Server.default_config in
+  let rng = Rng.create 79 and gaps = Random.State.make [| 79 |] in
+  (* spin, not sleep: a sleep overshoots by tens of microseconds, longer
+     than the pump's whole pass *)
+  let pause () =
+    let until = Clock.now_ns () + Random.State.int gaps 300_000 in
+    while Clock.now_ns () < until do
+      Domain.cpu_relax ()
+    done
+  in
+  let rounds = 500 in
+  for _ = 1 to rounds do
+    let a = Result.get_ok (Server.submit srv (small_spd rng)) in
+    pause ();
+    let b = Result.get_ok (Server.submit srv (small_spd rng)) in
+    expect_ok (await_within srv a);
+    expect_ok (await_within srv b);
+    pause ()
+  done;
+  Server.stop srv;
+  check_counters_reconcile "submit/await rounds" srv ~offered:(2 * rounds)
+
+(* A retry enqueued while the server is otherwise idle must wake the pump
+   and be resubmitted when its backoff is due. *)
+let test_pump_lone_retry () =
+  let h = Harness.create { Harness.default with seed = 5; p_raise = 1.0; transient = true } in
+  let srv = Server.start ~harness:h Server.default_config in
+  let rng = Rng.create 83 in
+  Unix.sleepf 0.02;
+  let c = await_within srv (Result.get_ok (Server.submit srv (small_spd rng))) in
+  expect_ok c;
+  Server.stop srv;
+  Alcotest.(check bool) "the transient fault fired" true (Harness.raised h >= 1);
+  Alcotest.(check int) "resolved after one retry per raise" (Harness.raised h) c.Request.retries;
+  check_counters_reconcile "lone retry" srv ~offered:1
+
+(* [stop] with requests still in flight: the pump blocks until the last
+   one settles, and that completion must wake it to exit. *)
+let test_pump_stop_drains () =
+  let srv = Server.start Server.default_config in
+  let rng = Rng.create 87 in
+  let tickets = List.init 20 (fun _ -> Result.get_ok (Server.submit srv (small_spd rng))) in
+  Server.stop srv;
+  List.iter
+    (fun tk ->
+      match Server.poll srv tk with
+      | Some c -> expect_ok c
+      | None -> Alcotest.fail "stop returned before an admitted request resolved")
+    tickets;
+  check_counters_reconcile "stop drains" srv ~offered:20
+
+(* The admission slot frees before the ticket resolves: a closed-loop
+   client at the window's edge, resubmitting the moment its oldest answer
+   arrives, is never refused. *)
+let test_shared_resubmit_at_capacity () =
+  let capacity = 4 and iters = 2000 in
+  let srv = Server.start { Server.default_config with capacity } in
+  let rng = Rng.create 89 in
+  let submit () =
+    match Server.submit srv (small_spd rng) with
+    | Ok tk -> tk
+    | Error e -> Alcotest.fail ("refused at the window's edge: " ^ Request.error_message e)
+  in
+  let window = Stdlib.Queue.create () in
+  for _ = 1 to capacity do
+    Stdlib.Queue.push (submit ()) window
+  done;
+  for _ = 1 to iters do
+    expect_ok (await_within srv (Stdlib.Queue.pop window));
+    Stdlib.Queue.push (submit ()) window
+  done;
+  Stdlib.Queue.iter (fun tk -> expect_ok (await_within srv tk)) window;
+  Server.stop srv;
+  Alcotest.(check int) "no refusals" 0 (Server.counters srv).Server.rejected;
+  check_counters_reconcile "resubmit at capacity" srv ~offered:(capacity + iters)
+
 (* ---- sparse request classes ---- *)
 
 module Stencil = Xsc_sparse.Stencil
@@ -925,6 +1065,35 @@ let test_route_direct_vs_lapack () =
     (Route.strictly_diag_dominant (Mat.random_diag_dominant rng n));
   Alcotest.(check bool) "dd predicate rejects all-ones" false
     (Route.strictly_diag_dominant (Mat.init n n (fun _ _ -> 1.0)))
+
+(* Route's tiled SPD path against an oracle built without it: pad [a] by
+   hand (identity on the pad diagonal), factor and solve it packed, keep
+   the head. Bitwise, for sizes that need padding and one that does not,
+   twice per size so that the second solve packs into a reused (dirty)
+   pooled buffer. *)
+let test_route_spd_bitwise_vs_padded_oracle () =
+  let rng = Rng.create 73 in
+  let nb = 16 in
+  List.iter
+    (fun n ->
+      for _ = 1 to 2 do
+        let a = Mat.random_spd rng n and b = Vec.random rng n in
+        let padded = (n + nb - 1) / nb * nb in
+        let ap =
+          Mat.init padded padded (fun i j ->
+              if i < n && j < n then Mat.get a i j else if i = j then 1.0 else 0.0)
+        in
+        let p = Xsc_tile.Packed.D.of_mat ~nb ap in
+        Xsc_tile.Packed.D.potrf p;
+        let bp = Array.init padded (fun i -> if i < n then b.(i) else 0.0) in
+        let oracle = Array.sub (Xsc_tile.Packed.D.potrs p bp) 0 n in
+        match Route.direct ~nb (Request.Spd_solve (a, b)) with
+        | Request.Vector x ->
+          Alcotest.(check bool) (Printf.sprintf "n=%d bitwise" n) true
+            (Loadgen.solutions_bitwise_equal (Request.Vector x) (Request.Vector oracle))
+        | Request.Matrix _ -> Alcotest.fail "spd solve yields a vector"
+      done)
+    [ 24; 48; 50 ]
 
 let test_scratch_reuse () =
   Scratch.set_enabled true;
@@ -1263,6 +1432,16 @@ let () =
             test_shared_admission_while_retry_sleeps;
           Alcotest.test_case "soak: thousands of requests" `Slow test_shared_soak;
         ] );
+      ( "pump",
+        [
+          Alcotest.test_case "lone request does not linger" `Quick test_pump_no_linger;
+          Alcotest.test_case "idle server burns no CPU" `Quick test_pump_idle_cpu;
+          Alcotest.test_case "no lost wakeup over 500 rounds" `Quick test_pump_no_lost_wakeup;
+          Alcotest.test_case "lone retry wakes the pump" `Quick test_pump_lone_retry;
+          Alcotest.test_case "stop drains in-flight requests" `Quick test_pump_stop_drains;
+          Alcotest.test_case "resubmit at capacity never refused" `Quick
+            test_shared_resubmit_at_capacity;
+        ] );
       ( "sparse",
         [
           Alcotest.test_case "chains bitwise vs sequential solver" `Quick
@@ -1289,6 +1468,8 @@ let () =
           Alcotest.test_case "harness thunk determinism" `Quick
             test_harness_thunk_determinism;
           Alcotest.test_case "route direct vs lapack" `Quick test_route_direct_vs_lapack;
+          Alcotest.test_case "route spd bitwise vs padded oracle" `Quick
+            test_route_spd_bitwise_vs_padded_oracle;
           Alcotest.test_case "scratch buffer reuse" `Quick test_scratch_reuse;
         ] );
       ( "spans",
