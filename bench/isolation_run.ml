@@ -3,25 +3,19 @@
 
    The experiment behind the shared task pool: a Poisson stream of small
    SPD solves (the latency-sensitive tenant) against one large solve kept
-   continuously streaming (the throughput tenant), on ONE execution lane
-   so the two tenants genuinely contend. Three points, identical seeded
-   small load:
+   continuously streaming (the throughput tenant), on ONE pool lane so the
+   two tenants genuinely contend. Two points, identical seeded small load:
 
-     alone   small stream only, shared-pool dispatch — the baseline p99
-     slot    smalls + large under request-granular slot dispatch (the
-             legacy executor, kept as the ablation): an admitted large
-             holds the lane for its whole service time, so a small
-             arriving mid-solve waits the large's residual service
+     alone   small stream only — the baseline p99
      shared  smalls + large through the shared deadline-aware task pool:
              the large's DAG is interleaved at task granularity, so the
              small's EDF key preempts at the next task boundary
 
    Self-check gates (exit 1 from `run` when any fails):
-     - shared small-class p99 < slot small-class p99 (the isolation win)
      - shared small-class p99 <= bound_multiple x alone p99 (the wait is
        bounded by ~one task's service, not the large DAG's tail)
-     - every completed small bitwise-identical to its per-request oracle:
-       Route.direct for pool points, the direct kernel call for slot
+     - every completed small bitwise-identical to its per-request oracle,
+       Route.direct on the same instance
      - a transient fault storm through the pool converges: zero typed
        failures, every retried answer still bitwise-identical
      - counters reconcile and the large actually streamed (>= 1 done)
@@ -38,9 +32,9 @@ module Metrics = Xsc_obs.Metrics
 
 (* The shared pool must keep the small class within this multiple of its
    alone-on-the-lane p99 even while the large streams. Task-granularity
-   preemption bounds the added wait to ~one tile kernel plus one batcher
-   linger; the slack on top covers shared-CI jitter (observed multiples
-   sit well under half of this). *)
+   preemption bounds the added wait to ~one tile kernel; the slack on top
+   covers shared-CI jitter (observed multiples sit well under half of
+   this). *)
 let bound_multiple = 8.0
 
 let lanes = 1
@@ -50,10 +44,9 @@ let small_load ~count =
 
 let large = { Loadgen.default_large with l_n = 512; l_deadline_s = 5.0 }
 
-let server_cfg dispatch =
+let server_cfg =
   { Server.default_config with
-    workers = lanes;
-    dispatch;
+    lanes;
     capacity = 512;
     default_deadline_s = 5.0;
   }
@@ -68,7 +61,7 @@ let alloc_mean_of_delta d =
     h.Metrics.sum /. float_of_int h.Metrics.count
   | _ -> 0.0
 
-(* ---- the three load points ---- *)
+(* ---- the two load points ---- *)
 
 type point = {
   p_label : string;
@@ -78,26 +71,18 @@ type point = {
   p_json : string;
 }
 
-let run_point ~label ~dispatch ~with_large load =
+let run_point ~label ~with_large load =
   let before = Metrics.snapshot () in
-  let srv = Server.start (server_cfg dispatch) in
+  let srv = Server.start server_cfg in
   let iso =
     Loadgen.run_isolation srv ?large:(if with_large then Some large else None) load
   in
   Server.stop srv;
-  let oracle =
-    (* slot dispatch solves through the direct kernel path; pool dispatch
-       executes the Route plan — each point checks against its own
-       bitwise oracle *)
-    match dispatch with
-    | Server.Slot -> Loadgen.reference load
-    | Server.Shared _ -> Loadgen.reference_routed load
-  in
   let bitwise_ok =
     List.for_all
       (fun (a, (c : Request.completion)) ->
         match c.Request.outcome with
-        | Ok sol -> Loadgen.solutions_bitwise_equal sol (oracle a)
+        | Ok sol -> Loadgen.solutions_bitwise_equal sol (Loadgen.reference_routed load a)
         | Error _ -> false)
       iso.Loadgen.pairs
   in
@@ -107,13 +92,10 @@ let run_point ~label ~dispatch ~with_large load =
   in
   let json =
     Printf.sprintf
-      "{\"label\": \"%s\", \"dispatch\": \"%s\", \"with_large\": %b, \
-       \"report\": %s, \"larges_done\": %d, \"larges_failed\": %d, \
+      "{\"label\": \"%s\", \"with_large\": %b, \"report\": %s, \"larges_done\": %d, \"larges_failed\": %d, \
        \"large_mean_s\": %.4f, \"bitwise_ok\": %b, \"counters_reconcile\": %b, \
        \"alloc_minor_words_per_req\": %.1f}"
-      label
-      (match dispatch with Server.Slot -> "slot" | Server.Shared _ -> "shared")
-      with_large
+      label with_large
       (Loadgen.report_json iso.Loadgen.smalls)
       iso.Loadgen.larges_done iso.Loadgen.larges_failed iso.Loadgen.large_mean_s
       bitwise_ok recon alloc
@@ -137,7 +119,7 @@ let run_storm ~count =
   let h = Harness.create { Harness.default with seed = 9; p_raise = 0.25; transient = true } in
   let srv =
     Server.start ~harness:h
-      { (server_cfg (Server.Shared lanes)) with capacity = 2 * count; max_retries = 4 }
+      { server_cfg with capacity = 2 * count; max_retries = 4 }
   in
   let arrivals = Loadgen.schedule cfg in
   let tickets =
@@ -186,7 +168,7 @@ let run_scratch_ab ~count =
     Scratch.set_enabled enabled;
     let before = Metrics.snapshot () in
     let h0 = Scratch.hits () and m0 = Scratch.misses () in
-    let srv = Server.start (server_cfg (Server.Shared lanes)) in
+    let srv = Server.start server_cfg in
     let r = Loadgen.run_closed srv ~outstanding:4 load in
     Server.stop srv;
     let alloc = alloc_mean_of_delta (Metrics.delta ~before ~after:(Metrics.snapshot ())) in
@@ -212,42 +194,35 @@ let run_scratch_ab ~count =
 
 let record ?(small_count = 100) ?(storm_count = 60) ?(ab_count = 60) () =
   let load = small_load ~count:small_count in
-  let alone = run_point ~label:"alone" ~dispatch:(Server.Shared lanes) ~with_large:false load in
-  let slot = run_point ~label:"slot" ~dispatch:Server.Slot ~with_large:true load in
-  let shared = run_point ~label:"shared" ~dispatch:(Server.Shared lanes) ~with_large:true load in
+  let alone = run_point ~label:"alone" ~with_large:false load in
+  let shared = run_point ~label:"shared" ~with_large:true load in
   let p99 p = p.p_iso.Loadgen.smalls.Loadgen.p99_ms in
-  let beats_slot = p99 shared < p99 slot in
   let within_bound = p99 shared <= bound_multiple *. p99 alone in
-  let large_streamed =
-    slot.p_iso.Loadgen.larges_done >= 1 && shared.p_iso.Loadgen.larges_done >= 1
-  in
+  let large_streamed = shared.p_iso.Loadgen.larges_done >= 1 in
   let points_ok =
     List.for_all
       (fun p -> p.p_bitwise_ok && p.p_recon && p.p_iso.Loadgen.smalls.Loadgen.failed = 0)
-      [ alone; slot; shared ]
+      [ alone; shared ]
   in
   let storm_json, storm_ok = run_storm ~count:storm_count in
   let ab_json, ab_ok = run_scratch_ab ~count:ab_count in
-  let ok = beats_slot && within_bound && large_streamed && points_ok && storm_ok && ab_ok in
+  let ok = within_bound && large_streamed && points_ok && storm_ok && ab_ok in
   let json =
     Printf.sprintf
       "{\"lanes\": %d, \"small_n\": %d, \"small_rate_hz\": %.0f, \"large_n\": %d,\n\
       \    \"alone\": %s,\n\
-      \    \"slot\": %s,\n\
       \    \"shared\": %s,\n\
-      \    \"isolation\": {\"alone_p99_ms\": %.3f, \"slot_p99_ms\": %.3f, \
-       \"shared_p99_ms\": %.3f, \"shared_over_slot\": %.4f, \"shared_over_alone\": \
-       %.3f, \"bound_multiple\": %.1f, \"beats_slot\": %b, \"within_bound\": %b},\n\
+      \    \"isolation\": {\"alone_p99_ms\": %.3f, \"shared_p99_ms\": %.3f, \
+       \"shared_over_alone\": %.3f, \"bound_multiple\": %.1f, \"within_bound\": %b},\n\
       \    \"storm\": %s,\n\
       \    \"scratch_ab\": %s,\n\
       \    \"checks_passed\": %b}"
       lanes load.Loadgen.n load.Loadgen.rate_hz large.Loadgen.l_n alone.p_json
-      slot.p_json shared.p_json (p99 alone) (p99 slot) (p99 shared)
-      (p99 shared /. p99 slot)
+      shared.p_json (p99 alone) (p99 shared)
       (p99 shared /. p99 alone)
-      bound_multiple beats_slot within_bound storm_json ab_json ok
+      bound_multiple within_bound storm_json ab_json ok
   in
-  (json, ok, [ alone; slot; shared ])
+  (json, ok, [ alone; shared ])
 
 let run ~file =
   let json, ok, points = record () in
@@ -263,13 +238,10 @@ let run ~file =
         (Loadgen.report_human p.p_iso.Loadgen.smalls))
     points;
   (match points with
-  | [ alone; slot; shared ] ->
+  | [ alone; shared ] ->
     let p99 p = p.p_iso.Loadgen.smalls.Loadgen.p99_ms in
-    Printf.printf
-      "small-class p99: alone %.2f ms | slot+large %.2f ms | shared+large %.2f ms \
-       (%.1fx better than slot, %.2fx alone)\n"
-      (p99 alone) (p99 slot) (p99 shared)
-      (p99 slot /. p99 shared)
+    Printf.printf "small-class p99: alone %.2f ms | shared+large %.2f ms (%.2fx alone)\n"
+      (p99 alone) (p99 shared)
       (p99 shared /. p99 alone)
   | _ -> ());
   if not ok then begin

@@ -69,7 +69,7 @@ let sparse_load ~count =
 let server_cfg ~caps =
   {
     Server.default_config with
-    dispatch = Server.Shared lanes;
+    lanes;
     capacity = 512;
     default_deadline_s = 5.0;
     class_caps = caps;

@@ -61,7 +61,7 @@ let run ~threshold =
    bookkeeping on the hot path shows up directly. *)
 let serve_goodput ~spans ~count =
   let srv =
-    Server.start { Server.default_config with workers = 2; capacity = 32; spans }
+    Server.start { Server.default_config with lanes = 2; capacity = 32; spans }
   in
   let load =
     { Loadgen.default with seed = 77; rate_hz = 1.0e6; count; n = 32; deadline_s = 5.0 }

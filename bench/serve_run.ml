@@ -8,8 +8,8 @@
      admission window, where backpressure must engage — reject rate > 0 is
      part of the record's self-check, not just a reported number.
    - a transient fault storm: every injected fault retried to success,
-     zero failures, every solution bitwise-identical to the direct kernel
-     call on the same seeded instance.
+     zero failures, every solution bitwise-identical to Route.direct on
+     the same seeded instance.
    - a permanent fault storm: the injected set (predicted exactly by
      Harness.targets_key, since request ids are submission-ordered) fails
      typed with retries exhausted; everything else lands bitwise-correct.
@@ -124,16 +124,16 @@ let nominal ~count =
     burst = false;
     server =
       { Server.default_config with
-        workers = 2;
         capacity = 64;
         slos = point_slos load.Loadgen.deadline_s;
       };
     load;
   }
 
-(* An instantaneous burst of [count] against an 8-slot window on one
-   worker: offered >> capacity by construction, so rejects are guaranteed
-   on any host — the demonstrably-engaged backpressure point. *)
+(* An instantaneous burst of [count] against an 8-slot admission window
+   (on the default pool lanes): offered >> capacity by construction, so
+   rejects are guaranteed on any host — the demonstrably-engaged
+   backpressure point. *)
 let overload ~count =
   let load =
     { Loadgen.default with seed = 43; rate_hz = 1.0e6; count; n = 48; deadline_s = 1.0 }
@@ -143,7 +143,6 @@ let overload ~count =
     burst = true;
     server =
       { Server.default_config with
-        workers = 1;
         capacity = 8;
         max_batch = 4;
         slos = point_slos load.Loadgen.deadline_s;
@@ -165,10 +164,10 @@ let run_point p =
   in
   let json =
     Printf.sprintf
-      "{\"label\": \"%s\", \"workers\": %d, \"capacity\": %d, \"max_batch\": %d, \
+      "{\"label\": \"%s\", \"lanes\": %d, \"capacity\": %d, \"max_batch\": %d, \
        \"n\": %d, \"burst\": %b, \"report\": %s, \"counters_reconcile\": %b, \
        \"spans_ok\": %b, \"slo\": %s, \"metrics\": %s}"
-      p.label p.server.Server.workers p.server.Server.capacity p.server.Server.max_batch
+      p.label p.server.Server.lanes p.server.Server.capacity p.server.Server.max_batch
       p.load.Loadgen.n p.burst (Loadgen.report_json r) recon spans_ok (slo_json srv)
       (metrics_delta_json before)
   in
@@ -207,7 +206,7 @@ let flight_ok ~path ~max_retries completions =
     && count "inject" = max_retries + 1
 
 (* Submit the whole seeded schedule, await every ticket, and check each
-   completion against the direct kernel call on the same instance. Request
+   completion against Route.direct on the same instance. Request
    ids are assigned in submission order (0..count-1), so the harness's
    per-key decision predicts exactly which requests were injected. *)
 let run_storm ~transient ~count ?flight_path () =
@@ -227,7 +226,6 @@ let run_storm ~transient ~count ?flight_path () =
   let srv =
     Server.start ~harness:h
       { Server.default_config with
-        workers = 2;
         capacity = 2 * count;
         max_retries;
         slos;
@@ -259,7 +257,7 @@ let run_storm ~transient ~count ?flight_path () =
       | Ok sol ->
         incr completed;
         if should_fail
-           || not (Loadgen.solutions_bitwise_equal sol (Loadgen.reference cfg arrivals.(i)))
+           || not (Loadgen.solutions_bitwise_equal sol (Loadgen.reference_routed cfg arrivals.(i)))
         then incr wrong
       | Error (Request.Failed { attempts; _ }) ->
         incr typed_failures;

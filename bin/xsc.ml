@@ -499,8 +499,8 @@ let serve_demo_cmd =
   in
   let trace_arg =
     Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace (chrome://tracing): worker queue-wait and \
-                 service lanes, plus one causal span lane per request \
+           ~doc:"Write a Chrome trace (chrome://tracing): queue-wait and \
+                 per-attempt pool lanes, plus one causal span lane per request \
                  (retries inlined, parent arrows as flow events).")
   in
   let slo_arg =
@@ -520,8 +520,7 @@ let serve_demo_cmd =
   in
   let isolation_arg =
     Arg.(value & flag & info [ "isolation" ]
-           ~doc:"Multi-tenant isolation mix: dispatch through the shared \
-                 deadline-aware task pool and keep one large solve streaming \
+           ~doc:"Multi-tenant isolation mix: keep one large solve streaming \
                  (closed-loop) under the Poisson small load. With \
                  $(b,--trace-json) the trace shows task spans of multiple \
                  requests interleaved on one worker lane.")
@@ -534,10 +533,9 @@ let serve_demo_cmd =
     Arg.(value & flag & info [ "mixed" ]
            ~doc:"Mixed dense+sparse workload: overlay a bandwidth-bound CG \
                  class (7-pt stencil solves, half the dense rate and count) \
-                 on the dense load and dispatch through the shared pool with \
-                 a per-class concurrency cap — the HPL-vs-HPCG contrast as a \
-                 serving phenomenon. Pairs with $(b,--sparse-grid) and \
-                 $(b,--sparse-cap).")
+                 on the dense load and cap its live attempts in the shared \
+                 pool — the HPL-vs-HPCG contrast as a serving phenomenon. \
+                 Pairs with $(b,--sparse-grid) and $(b,--sparse-cap).")
   in
   let sparse_grid_arg =
     Arg.(value & opt int 24 & info [ "sparse-grid" ] ~docv:"G"
@@ -552,7 +550,7 @@ let serve_demo_cmd =
   in
   let run n workers seed count rate capacity deadline storm permanent trace_json slo
       slo_budget flight isolation large_n mixed sparse_grid sparse_cap =
-    let workers = if workers <= 0 then 2 else workers in
+    let lanes = if workers <= 0 then 2 else workers in
     let module Server = Xsc_serve.Server in
     let module Loadgen = Xsc_serve.Loadgen in
     let module Slo = Xsc_serve.Slo in
@@ -569,16 +567,13 @@ let serve_demo_cmd =
       | Some latency_s -> [ { Slo.kind = "*"; latency_s; error_budget = slo_budget } ]
       | None -> []
     in
-    let dispatch =
-      if isolation || mixed then Server.Shared workers else Server.Slot
-    in
     let class_caps =
       if mixed && sparse_cap > 0 then [ ("cg", sparse_cap) ] else []
     in
     let srv =
       Server.start ?harness
-        { Server.default_config with workers; capacity; slos; flight_path = flight;
-          dispatch; class_caps;
+        { Server.default_config with lanes; capacity; slos; flight_path = flight;
+          class_caps;
           default_deadline_s = (if isolation || mixed then 5.0 else
                                   Server.default_config.Server.default_deadline_s) }
     in
@@ -588,10 +583,8 @@ let serve_demo_cmd =
         deadline_s = deadline }
     in
     Printf.printf
-      "serving %d mixed requests (n=%d) at %.0f req/s on %d %s, window %d:\n" count n
-      rate workers
-      (if isolation || mixed then "shared-pool lanes" else "slot workers")
-      capacity;
+      "serving %d mixed requests (n=%d) at %.0f req/s on %d shared-pool lanes, window %d:\n"
+      count n rate lanes capacity;
     (* The trace is written in a [finally] so a run cut short — every
        request typed-rejected by a saturated window, a storm exhausting its
        retries, Ctrl-C'd load — still flushes and closes a complete JSON

@@ -20,8 +20,6 @@
 
 type config = { max_batch : int; linger_ns : int }
 
-let default = { max_batch = 8; linger_ns = 2_000_000 (* 2 ms *) }
-
 type 'a batch = {
   seq : int;
   class_key : string;
@@ -124,16 +122,3 @@ let flush_due t ~now_ns =
 let flush_all t =
   let all = Hashtbl.fold (fun _ slot acc -> slot :: acc) t.slots [] in
   all |> List.sort flush_order |> List.map (flush_slot t)
-
-let next_due_ns t =
-  Hashtbl.fold
-    (fun _ slot acc ->
-      let due_at =
-        min
-          (slot.slot_opened_ns + t.cfg.linger_ns)
-          (slot.min_deadline_ns - t.cfg.linger_ns)
-      in
-      match acc with
-      | None -> Some due_at
-      | Some a -> Some (min a due_at))
-    t.slots None

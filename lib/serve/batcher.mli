@@ -20,9 +20,6 @@ type config = {
   linger_ns : int;  (** max time a request waits for batch company *)
 }
 
-val default : config
-(** [max_batch = 8], [linger_ns = 2ms]. *)
-
 type 'a batch = {
   seq : int;  (** formation order — the EDF tie-break, so equal-deadline
                   batches dispatch FIFO *)
@@ -58,7 +55,3 @@ val flush_all : 'a t -> 'a batch list
 
 val pending : 'a t -> int
 (** Requests staged and not yet flushed. *)
-
-val next_due_ns : 'a t -> int option
-(** Earliest future time-trigger among open classes ([None] when empty) —
-    lets an idle dispatcher size its sleep instead of guessing. *)

@@ -97,28 +97,10 @@ let payload_of cfg a =
         max_cycles = mg_max_cycles;
       }
 
-(* The oracle: the same kernels the server runs, called directly — the
-   server's answer for a fault-free request must be bitwise identical. *)
-let reference cfg a =
-  match payload_of cfg a with
-  | Request.Spd_solve (m, b) -> Request.Vector (Lapack.chol_solve m b)
-  | Request.Lu_solve (m, b) -> Request.Vector (Lapack.lu_solve m b)
-  | Request.Gemm (m, b) ->
-    let ra, _ = Mat.dims m and _, cb = Mat.dims b in
-    let c = Mat.create ra cb in
-    Blas.gemm ~alpha:1.0 m b ~beta:0.0 c;
-    Request.Matrix c
-  | (Request.Cg_solve _ | Request.Mg_solve _) as p ->
-    (* Sparse oracle: the identical sequential chain the router runs — for
-       sparse payloads the Slot path IS [Route.direct], so this oracle and
-       [reference_routed] coincide. Raises [Route.Non_convergence] when the
-       instance cannot meet its tolerance; callers compare survivors only. *)
-    Route.direct p
-
-(* Oracle for the shared-pool dispatch path: the identical Route plan the
-   server submits, executed sequentially. The packed kernels are bitwise
-   schedule-independent, so a fault-free pool-served answer must equal
-   this bit for bit — under any interleaving, steal pattern or storm. *)
+(* The oracle: the identical Route plan the server submits, executed
+   sequentially. The packed kernels are bitwise schedule-independent, so a
+   fault-free served answer must equal this bit for bit — under any
+   interleaving, steal pattern or storm. *)
 let reference_routed ?nb cfg a = Route.direct ?nb (payload_of cfg a)
 
 let bits_equal x y =

@@ -45,20 +45,13 @@ val payload_of : config -> arrival -> Request.payload
     [problem_seed]. Sparse instances carry fixed tolerance/iteration
     budgets generous enough that a fault-free solve always converges. *)
 
-val reference : config -> arrival -> Request.solution
-(** Direct (unserved) solution of the same instance through the same
-    kernels: a fault-free served answer must be bitwise identical. Sparse
-    instances run the sequential {!Route.direct} chain (the Slot path is
-    the same call, so for them this coincides with {!reference_routed})
-    and raise {!Route.Non_convergence} if the instance cannot meet its
-    tolerance. *)
-
 val reference_routed : ?nb:int -> config -> arrival -> Request.solution
-(** {!Route.direct} on the same instance: the oracle for the shared-pool
-    dispatch path ({!Server.Shared}). The packed kernels are bitwise
-    schedule-independent, so a completed pool-served answer must equal
-    this bit for bit — under any interleaving or seeded fault storm
-    (replays re-run the same plan). *)
+(** {!Route.direct} on the same instance: the oracle for every served
+    answer. The packed kernels are bitwise schedule-independent, so a
+    completed pool-served answer must equal this bit for bit — under any
+    interleaving or seeded fault storm (replays re-run the same plan).
+    Sparse instances run the sequential stepper chain and raise
+    {!Route.Non_convergence} if the instance cannot meet its tolerance. *)
 
 val solutions_bitwise_equal : Request.solution -> Request.solution -> bool
 

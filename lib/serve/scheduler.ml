@@ -11,8 +11,6 @@ type 'a t = { mutable heap : 'a Batcher.batch array; mutable size : int }
 
 let create () = { heap = [||]; size = 0 }
 
-let length t = t.size
-
 let before (a : 'a Batcher.batch) (b : 'a Batcher.batch) =
   a.Batcher.deadline_ns < b.Batcher.deadline_ns
   || (a.Batcher.deadline_ns = b.Batcher.deadline_ns && a.Batcher.seq < b.Batcher.seq)
@@ -77,5 +75,3 @@ let pop_when eligible t =
   let found, stash = go [] in
   List.iter (push t) stash;
   found
-
-let peek_deadline_ns t = if t.size = 0 then None else Some t.heap.(0).Batcher.deadline_ns

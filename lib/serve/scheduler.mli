@@ -26,8 +26,3 @@ val pop_when : ('a Batcher.batch -> bool) -> 'a t -> 'a Batcher.batch option
     preserved). The class-aware dispatch path uses this to hold back
     concurrency-capped bandwidth-bound classes without starving them of
     their place in line. *)
-
-val length : 'a t -> int
-
-val peek_deadline_ns : 'a t -> int option
-(** Deadline of the batch {!pop} would return. *)

@@ -1,15 +1,15 @@
 (* The concurrent solver service: admission -> bounded ingress queue ->
-   dynamic batcher -> EDF ready heap -> execution ([Slot] worker domains
-   or the shared deadline-aware task pool).
+   dynamic batcher -> EDF ready heap -> the shared deadline-aware task
+   pool.
 
    Concurrency structure: submit-side state is atomics (the admission
    window) plus the bounded ingress queue; batcher and EDF heap are owned
    by whichever domain holds the single state mutex, so they stay simple
    single-threaded data structures.
 
-   [Shared] mode runs one event-driven pump domain. Each pass drains the
+   One event-driven pump domain feeds the pool. Each pass drains the
    ingress into the batcher, flushes every open batch at once (a batch
-   buys nothing there: each member becomes its own pool DAG, and the pool
+   buys nothing here: each member becomes its own pool DAG, and the pool
    already orders tasks by deadline), resubmits due retries and claims
    eligible batches. With nothing to do it blocks on a [Condition]; every
    producer of pump work wakes it — [submit] after an accepted push, a
@@ -18,35 +18,23 @@
    costs no CPU. The one timed sleep left is while a retry backoff is
    pending (OCaml's [Condition] has no timed wait).
 
-   [Slot] mode keeps its worker domains pulling: each loop iteration
-   drains the ingress, flushes batches whose linger expired, and either
-   executes the most urgent batch or sleeps one 200 us poll interval
-   against a >= 1 ms linger.
-
-   Fault isolation is per request: batch members run as independent
-   result-slots ([Batched.run_batch_results]) or independent pool jobs,
-   so one singular matrix or injected fault fails exactly one request
-   with a typed error; transient injected faults are retried with
+   Fault isolation is per request: batch members run as independent pool
+   jobs, so one singular matrix or injected fault fails exactly one
+   request with a typed error; transient injected faults are retried with
    exponential backoff; the server itself never goes down from a request
    failure.
 
-   The admission window counts a request from accept to completion
-   (queued, staged in the batcher, or executing) — backpressure engages
-   whenever service lags offered load, not only when the ingress ring
-   itself is momentarily full, so total in-system memory is bounded by
-   [capacity] end to end.
-
-   In [Shared] mode the window is measured against actual in-flight work
-   instead of raw request counts: a request occupies it from admission
-   until its attempt leaves the pool (the top of the pool's completion
-   callback, before the ticket resolves — so a client that resubmits the
-   moment its answer arrives finds the slot already free). A request
-   waiting out a transient retry backoff holds no pool lane, so it does
-   not count against the window — admission keeps flowing while retries
-   sleep, and in-system memory is bounded by [capacity] plus the
+   The admission window is measured against actual in-flight work, so
+   backpressure engages whenever service lags offered load, not only when
+   the ingress ring itself is momentarily full: a request occupies it
+   from admission until its attempt leaves the pool (the top of the pool's
+   completion callback, before the ticket resolves — so a client that
+   resubmits the moment its answer arrives finds the slot already free).
+   A request waiting out a transient retry backoff holds no pool lane, so
+   it does not count against the window — admission keeps flowing while
+   retries sleep, and in-system memory is bounded by [capacity] plus the
    (transient) backoff population. *)
 
-open Xsc_linalg
 module Clock = Xsc_obs.Clock
 module Metrics = Xsc_obs.Metrics
 module Span = Xsc_obs.Span
@@ -57,8 +45,7 @@ module Pool = Xsc_runtime.Pool
 module Harness = Xsc_resilience.Harness
 module Flight = Xsc_resilience.Flight
 
-(* [Slot] workers' idle poll, and the longest [Shared] pump sleep while a
-   retry backoff is pending *)
+(* the longest pump sleep while a retry backoff is pending *)
 let poll_s = 0.0002
 
 let m_admitted = Metrics.counter "serve.admitted"
@@ -72,55 +59,41 @@ let m_queue_wait = Metrics.histogram "serve.queue_wait_s"
 let m_service = Metrics.histogram "serve.service_s"
 let m_total = Metrics.histogram "serve.total_s"
 
-(* per-request minor-heap allocation estimate (whole-batch delta on the
-   executing domain divided by batch size): ROADMAP item 6's
-   "zero-allocation steady state" as a benchmarked number *)
+(* per-request minor-heap allocation estimate (plan construction plus
+   solve-and-release): the "zero-allocation steady state" as a
+   benchmarked number *)
 let m_alloc = Metrics.histogram "serve.alloc_minor_words_per_req"
 
-(* Two dispatch modes share the whole admission -> batcher -> EDF front:
-   [Slot] claims a worker domain per batch and runs requests to completion
-   on it (the original design, kept as the isolation-bench ablation);
-   [Shared n] routes every request's DAG into one shared deadline-aware
-   task pool ({!Xsc_runtime.Pool}) on [n] persistent worker domains — no
+(* Every request's DAG runs in one shared deadline-aware task pool
+   ({!Xsc_runtime.Pool}) on [lanes] persistent worker domains — no
    per-request executor, no per-request barrier, and the request's EDF
    deadline travels down to *task* granularity, so a small request entering
    while a large factorization streams waits ~one task, not the tail of
    the large DAG. *)
-type dispatch =
-  | Slot
-  | Shared of int
-
 type config = {
-  workers : int;
+  lanes : int;
   capacity : int;
   max_batch : int;
-  linger_s : float;
   default_deadline_s : float;
   max_retries : int;
   retry_backoff_s : float;
   spans : bool;
   slos : Slo.objective list;
   flight_path : string option;
-  dispatch : dispatch;
   class_caps : (string * int) list;
 }
 
 let default_config =
   {
-    workers = 2;
+    lanes = 2;
     capacity = 64;
     max_batch = 8;
-    linger_s = 0.002;
     default_deadline_s = 0.25;
     max_retries = 3;
     retry_backoff_s = 0.0005;
     spans = true;
     slos = [];
     flight_path = None;
-    (* Shared became the default after soaking through PRs 8-9 CI: EDF to
-       task granularity, admission against actual in-flight work. [Slot]
-       stays selectable as the run-to-completion ablation. *)
-    dispatch = Shared 2;
     class_caps = [];
   }
 
@@ -147,10 +120,6 @@ type counters = {
    slot, mirroring the admission window's pool-depth accounting. *)
 type class_cap = { cc_kind : string; cc_cap : int; cc_live : int Atomic.t }
 
-(* A finished request's trace footprint: a queue-wait span on the virtual
-   queue lane plus a service span on the executing worker's lane. *)
-type span = { task : int; name : string; lane : int; start_ns : int; finish_ns : int }
-
 (* A transiently-faulted request waiting out its retry backoff: the pump
    resubmits it when due instead of a pool worker sleeping in a callback
    (a sleeping callback would block a whole execution lane). *)
@@ -167,19 +136,18 @@ type t = {
   collector : Span.collector option;
   slo : Slo.t option;
   ingress : Request.t Queue.t;
-  pool : Pool.t option;  (* Some iff [dispatch = Shared _] *)
-  caps : class_cap array;  (* enforced by the Shared pump only *)
+  pool : Pool.t;
+  caps : class_cap array;
   c_cap_deferred : int Atomic.t;
-  (* ---- shared worker state, under [mu] ---- *)
+  (* ---- batching state and tickets, under [mu] ---- *)
   mu : Mutex.t;
   batcher : Request.t Batcher.t;
   sched : Request.t Scheduler.t;
   tickets : (int, ticket) Hashtbl.t;
-  mutable spans : span list;
-  (* ---- retry queue (Shared mode), under [retry_mu] ---- *)
+  (* ---- retry queue, under [retry_mu] ---- *)
   retry_mu : Mutex.t;
   mutable retry_q : retry_entry list;
-  (* ---- pump wakeup (Shared mode) ---- *)
+  (* ---- pump wakeup ---- *)
   pump_gen : int Atomic.t;  (* bumped by every producer of pump work *)
   pump_waiting : bool Atomic.t;  (* the pump is (about to be) blocked *)
   wake_mu : Mutex.t;
@@ -187,10 +155,10 @@ type t = {
   (* ---- submit-side state ---- *)
   in_system : int Atomic.t;  (* admitted and not yet completed *)
   occupied : int Atomic.t;
-  (* Shared mode's admission occupancy: requests from admission until
-     their attempt leaves the pool (ingress, batcher, EDF heap, dispatch,
-     live in the pool), plus retries resubmitted into it. A retry sleeping
-     out its backoff is not counted — by design. *)
+  (* the admission occupancy: requests from admission until their attempt
+     leaves the pool (ingress, batcher, EDF heap, dispatch, live in the
+     pool), plus retries resubmitted into it. A retry sleeping out its
+     backoff is not counted — by design. *)
   next_id : int Atomic.t;
   stopping : bool Atomic.t;
   start_ns : int;
@@ -200,13 +168,12 @@ type t = {
   c_failed : int Atomic.t;
   c_retried : int Atomic.t;
   c_batches : int Atomic.t;
-  mutable domains : unit Domain.t array;
+  mutable pump : unit Domain.t option;
 }
 
-(* lane layout in the exported trace: workers 0..lanes-1, queue-wait
+(* lane layout in the exported trace: pool workers 0..lanes-1, queue-wait
    spans on one extra virtual lane *)
-let exec_lanes cfg = match cfg.dispatch with Slot -> cfg.workers | Shared n -> n
-let queue_lane cfg = exec_lanes cfg
+let queue_lane cfg = cfg.lanes
 
 (* Publish-then-wake, the mirror of the pump's [park]: a producer makes its
    work visible, bumps [pump_gen], then reads [pump_waiting]; the pump sets
@@ -227,66 +194,9 @@ let wake t =
    pump, which exits once nothing is in-system. *)
 let leave t = if Atomic.fetch_and_add t.in_system (-1) = 1 && Atomic.get t.stopping then wake t
 
-(* ---- request execution ---- *)
+(* ---- request completion ---- *)
 
-let solve_payload = function
-  | Request.Spd_solve (a, b) ->
-    let f = Mat.copy a in
-    Lapack.potrf f;
-    let x = Array.copy b in
-    Lapack.potrs f x;
-    Request.Vector x
-  | Request.Lu_solve (a, b) -> Request.Vector (Lapack.lu_solve a b)
-  | Request.Gemm (a, b) ->
-    let ra, _ = Mat.dims a and _, cb = Mat.dims b in
-    let c = Mat.create ra cb in
-    Blas.gemm ~alpha:1.0 a b ~beta:0.0 c;
-    Request.Matrix c
-  | (Request.Cg_solve _ | Request.Mg_solve _) as p ->
-    (* sparse kinds run the same stepper chain sequentially: bitwise equal
-       to the pooled chain by construction; non-convergence raises
-       Route.Non_convergence, a deterministic typed failure (not retried) *)
-    Route.direct p
-
-let thunk_of t (r : Request.t) () =
-  match t.harness with
-  | None -> solve_payload r.Request.payload
-  | Some h -> Harness.wrap_thunk h ~key:r.Request.id (fun () -> solve_payload r.Request.payload)
-
-(* One dispatch attempt of one request: the solve runs under the
-   request's ambient span context (so executor tasks, injected faults and
-   ABFT replays parent onto this attempt), and the attempt itself is
-   recorded whether it returns or raises — a retried request shows every
-   attempt in its lane. *)
-let run_attempt t worker (r : Request.t) ~attempt () =
-  match t.collector with
-  | None -> thunk_of t r ()
-  | Some col ->
-    let ctx = Span.child r.Request.span in
-    let t0 = Clock.now_ns () in
-    let note () =
-      Span.record col
-        {
-          Span.request = r.Request.id;
-          span = ctx.Span.span;
-          parent = ctx.Span.parent;
-          phase = "attempt";
-          name = Request.class_key r.Request.payload;
-          lane = worker;
-          attempt;
-          start_ns = t0;
-          finish_ns = Clock.now_ns ();
-        }
-    in
-    (match Span.with_current (Some ctx) (thunk_of t r) with
-    | v ->
-      note ();
-      v
-    | exception e ->
-      note ();
-      raise e)
-
-let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
+let complete t (r : Request.t) outcome ~retries ~dispatch_ns =
   let finish_ns = Clock.now_ns () in
   let queue_wait_s = Clock.ns_to_s (dispatch_ns - r.Request.submit_ns) in
   let service_s = Clock.ns_to_s (finish_ns - dispatch_ns) in
@@ -312,24 +222,7 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
       met_deadline = finish_ns <= r.Request.deadline_ns;
     }
   in
-  let key = Request.class_key r.Request.payload in
   Mutex.lock t.mu;
-  t.spans <-
-    {
-      task = r.Request.id;
-      name = Printf.sprintf "%s(%d)" key r.Request.id;
-      lane = worker;
-      start_ns = dispatch_ns;
-      finish_ns;
-    }
-    :: {
-         task = r.Request.id;
-         name = Printf.sprintf "wait:%s(%d)" key r.Request.id;
-         lane = queue_lane t.cfg;
-         start_ns = r.Request.submit_ns;
-         finish_ns = dispatch_ns;
-       }
-    :: t.spans;
   let ticket = Hashtbl.find_opt t.tickets r.Request.id in
   Hashtbl.remove t.tickets r.Request.id;
   Mutex.unlock t.mu;
@@ -340,6 +233,7 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
   (match t.collector with
   | None -> ()
   | Some col ->
+    let key = Request.class_key r.Request.payload in
     let wait = Span.child r.Request.span in
     Span.record col
       {
@@ -399,53 +293,10 @@ let complete t (r : Request.t) outcome ~retries ~dispatch_ns ~worker =
     Condition.broadcast tk.t_cv;
     Mutex.unlock tk.t_mu
   | None -> ());
-  (* last: only a fully completed request frees an admission slot *)
+  (* last: a request leaves the in-system count only once fully settled *)
   leave t
 
-let execute t worker (batch : Request.t Batcher.batch) =
-  let dispatch_ns = Clock.now_ns () in
-  Atomic.incr t.c_batches;
-  Metrics.incr m_batches;
-  Metrics.observe m_batch_size (float_of_int (Array.length batch.Batcher.requests));
-  (* allocation estimate: whole-batch minor-words delta on this domain
-     (solve + retries + completion bookkeeping), amortised per request.
-     Gc.minor_words is allocation-free, so the probe doesn't feed itself. *)
-  let minor0 = Gcstat.minor_words () in
-  (* batch members run as independent result slots on this worker;
-     parallelism comes from sibling workers executing other batches *)
-  let results =
-    Xsc_core.Batched.run_batch_results
-      (Array.map (fun r -> run_attempt t worker r ~attempt:0) batch.Batcher.requests)
-  in
-  Array.iteri
-    (fun i first ->
-      let r = batch.Batcher.requests.(i) in
-      let retries = ref 0 in
-      (* Only injected (transient-model) faults are retried: a singular
-         matrix is deterministic, so re-running it would burn service time
-         to reproduce the same failure. *)
-      let rec settle res =
-        match res with
-        | Ok sol -> Ok sol
-        | Error (Harness.Injected _) when !retries < t.cfg.max_retries ->
-          incr retries;
-          Atomic.incr t.c_retried;
-          Metrics.incr m_retried;
-          Unix.sleepf (t.cfg.retry_backoff_s *. ldexp 1.0 (!retries - 1));
-          settle (try Ok (run_attempt t worker r ~attempt:!retries ()) with e -> Error e)
-        | Error e ->
-          Error (Request.Failed { attempts = !retries + 1; error = Printexc.to_string e })
-      in
-      let outcome = settle first in
-      complete t r outcome ~retries:!retries ~dispatch_ns ~worker)
-    results;
-  let n = Array.length batch.Batcher.requests in
-  if n > 0 then begin
-    let per_req = (Gcstat.minor_words () -. minor0) /. float_of_int n in
-    Metrics.observe_n m_alloc per_req ~n
-  end
-
-(* ---- shared-pool dispatch ---- *)
+(* ---- dispatch ---- *)
 
 (* One attempt of one request as a pool job: build a fresh plan (fresh
    scratch cell, fresh fault wrapping), submit its DAG with the request's
@@ -462,7 +313,7 @@ let cap_for t kind =
   in
   go 0
 
-let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
+let rec submit_to_pool t (r : Request.t) ~attempt ~dispatch_ns =
   (* a first attempt already holds the [occupied] slot claimed at
      admission; a retry takes one again while it is back in the pool *)
   if attempt > 0 then Atomic.incr t.occupied;
@@ -491,7 +342,7 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
   let cap = cap_for t (Request.kind_name r.Request.payload) in
   (match cap with Some cc -> Atomic.incr cc.cc_live | None -> ());
   Pool.submit ?interp:plan.Route.interp ~deadline_ns:r.Request.deadline_ns ?sctx:actx
-    pool plan.Route.dag ~on_done:(fun failure ~worker ->
+    t.pool plan.Route.dag ~on_done:(fun failure ~worker ->
       (* the attempt left the pool: free its admission slot before the
          ticket resolves, and its class-cap slot, so the pump can dispatch
          the class's next batch while we settle this one *)
@@ -511,12 +362,12 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
              solve-and-release (this domain); the factorization tasks
              themselves run in place over pooled buffers *)
           Metrics.observe m_alloc (plan_alloc +. (Gcstat.minor_words () -. m1));
-          complete t r (Ok sol) ~retries:attempt ~dispatch_ns ~worker
+          complete t r (Ok sol) ~retries:attempt ~dispatch_ns
         | exception e ->
           plan.Route.cleanup ();
           complete t r
             (Error (Request.Failed { attempts = attempt + 1; error = Printexc.to_string e }))
-            ~retries:attempt ~dispatch_ns ~worker)
+            ~retries:attempt ~dispatch_ns)
       | Some f -> (
         plan.Route.cleanup ();
         match f.Real_exec.error with
@@ -544,10 +395,10 @@ let rec submit_to_pool t pool (r : Request.t) ~attempt ~dispatch_ns =
         | e ->
           complete t r
             (Error (Request.Failed { attempts = attempt + 1; error = Printexc.to_string e }))
-            ~retries:attempt ~dispatch_ns ~worker))
+            ~retries:attempt ~dispatch_ns))
 
 (* Resubmit every due retry; returns the earliest due time still pending. *)
-and service_retries t pool =
+and service_retries t =
   let now = Clock.now_ns () in
   Mutex.lock t.retry_mu;
   let due, later = List.partition (fun e -> e.re_due_ns <= now) t.retry_q in
@@ -555,34 +406,50 @@ and service_retries t pool =
   Mutex.unlock t.retry_mu;
   List.iter
     (fun e ->
-      submit_to_pool t pool e.re_req ~attempt:e.re_attempt ~dispatch_ns:e.re_dispatch_ns)
+      submit_to_pool t e.re_req ~attempt:e.re_attempt ~dispatch_ns:e.re_dispatch_ns)
     (* oldest due first, so equal-backoff retries resubmit in fault order *)
     (List.sort (fun a b -> compare a.re_due_ns b.re_due_ns) due);
   match later with
   | [] -> None
   | e :: rest -> Some (List.fold_left (fun m e -> min m e.re_due_ns) e.re_due_ns rest)
 
-(* A claimed batch in Shared mode is a dispatch unit only: each member
-   becomes its own DAG submission (sharing the batch's dispatch stamp),
-   and the pool interleaves their tasks with everything else in flight. *)
-let dispatch_batch_pool t pool (batch : Request.t Batcher.batch) =
+(* A claimed batch is a dispatch unit only: each member becomes its own
+   DAG submission (sharing the batch's dispatch stamp), and the pool
+   interleaves their tasks with everything else in flight. *)
+let dispatch_batch t (batch : Request.t Batcher.batch) =
   let dispatch_ns = Clock.now_ns () in
   Atomic.incr t.c_batches;
   Metrics.incr m_batches;
   Metrics.observe m_batch_size (float_of_int (Array.length batch.Batcher.requests));
-  Array.iter
-    (fun r -> submit_to_pool t pool r ~attempt:0 ~dispatch_ns)
-    batch.Batcher.requests
+  Array.iter (fun r -> submit_to_pool t r ~attempt:0 ~dispatch_ns) batch.Batcher.requests
 
-(* ---- worker loop ---- *)
+(* ---- the pump ---- *)
+
+let kind_of_class_key key =
+  match String.index_opt key ':' with
+  | Some i -> String.sub key 0 i
+  | None -> key
+
+(* Class-aware eligibility: a batch whose kind has a concurrency cap waits
+   (keeping its EDF place) while the class already has [cap] attempts live
+   in the pool. The cap is checked at batch granularity, so a batch may
+   overshoot it by its own size minus one — per-class batching already
+   keeps sparse batches separate, and the bench's sparse classes batch
+   small. *)
+let batch_eligible t (b : Request.t Batcher.batch) =
+  match cap_for t (kind_of_class_key b.Batcher.class_key) with
+  | None -> true
+  | Some cc ->
+    let ok = Atomic.get cc.cc_live < cc.cc_cap in
+    if not ok then Atomic.incr t.c_cap_deferred;
+    ok
 
 (* Pump admitted requests through the batcher into the EDF heap and claim
-   the most urgent ready batch. One state lock covers ingress drain, flush
-   and claim, so batches can never be claimed twice. [eligible] filters
-   the claim (class-aware dispatch): ineligible batches keep their EDF
-   place in the heap. [Slot] flushes a batch once its linger expires;
-   [Shared] (and a stopping server) flushes every open batch at once. *)
-let next_batch ?(eligible = fun _ -> true) t =
+   the most urgent eligible batch. One state lock covers ingress drain,
+   flush and claim, so batches can never be claimed twice. Every open
+   batch flushes at once; ineligible batches keep their EDF place in the
+   heap. *)
+let next_batch t =
   Mutex.lock t.mu;
   let now = Clock.now_ns () in
   let rec drain () =
@@ -595,43 +462,10 @@ let next_batch ?(eligible = fun _ -> true) t =
       drain ()
   in
   drain ();
-  List.iter (Scheduler.push t.sched)
-    (if Option.is_some t.pool || Atomic.get t.stopping then Batcher.flush_all t.batcher
-     else Batcher.flush_due t.batcher ~now_ns:now);
-  let b = Scheduler.pop_when eligible t.sched in
+  List.iter (Scheduler.push t.sched) (Batcher.flush_all t.batcher);
+  let b = Scheduler.pop_when (batch_eligible t) t.sched in
   Mutex.unlock t.mu;
   b
-
-let kind_of_class_key key =
-  match String.index_opt key ':' with
-  | Some i -> String.sub key 0 i
-  | None -> key
-
-(* Class-aware eligibility for the Shared pump: a batch whose kind has a
-   concurrency cap waits (keeping its EDF place) while the class already
-   has [cap] attempts live in the pool. The cap is checked at batch
-   granularity, so a batch may overshoot it by its own size minus one —
-   per-class batching already keeps sparse batches separate, and the
-   bench's sparse classes batch small. *)
-let batch_eligible t (b : Request.t Batcher.batch) =
-  match cap_for t (kind_of_class_key b.Batcher.class_key) with
-  | None -> true
-  | Some cc ->
-    let ok = Atomic.get cc.cc_live < cc.cc_cap in
-    if not ok then Atomic.incr t.c_cap_deferred;
-    ok
-
-let rec worker_loop t w =
-  match next_batch t with
-  | Some b ->
-    execute t w b;
-    worker_loop t w
-  | None ->
-    if Atomic.get t.stopping && Atomic.get t.in_system = 0 then ()
-    else begin
-      Unix.sleepf poll_s;
-      worker_loop t w
-    end
 
 (* The pump's idle wait (see [wake]): block unless some producer has
    published work since the pass that found none began at [gen]. *)
@@ -642,19 +476,19 @@ let park t gen =
   Mutex.unlock t.wake_mu;
   Atomic.set t.pump_waiting false
 
-(* Shared mode runs ONE pump domain: it drains admission into the batcher,
-   dispatches claimed batches into the pool without blocking on them, and
-   resubmits due retries. It exits only when nothing is in-system — every
+(* The one pump domain: it drains admission into the batcher, dispatches
+   claimed batches into the pool without blocking on them, and resubmits
+   due retries. It exits only when nothing is in-system — every
    admitted request has fully settled through its completion callback —
    and the ingress is closed: a submit that raced [stop] either counted
    itself in-system before the close or finds the ingress closed. *)
-let rec pump_loop t pool =
+let rec pump_loop t =
   let gen = Atomic.get t.pump_gen in
-  let next_retry_ns = service_retries t pool in
-  match next_batch ~eligible:(batch_eligible t) t with
+  let next_retry_ns = service_retries t in
+  match next_batch t with
   | Some b ->
-    dispatch_batch_pool t pool b;
-    pump_loop t pool
+    dispatch_batch t b;
+    pump_loop t
   | None ->
     if Queue.is_closed t.ingress && Atomic.get t.in_system = 0 then ()
     else begin
@@ -662,23 +496,19 @@ let rec pump_loop t pool =
       | None -> park t gen
       | Some due_ns ->
         Unix.sleepf (Float.min poll_s (Float.max 0.0 (Clock.ns_to_s (due_ns - Clock.now_ns ())))));
-      pump_loop t pool
+      pump_loop t
     end
 
 (* ---- lifecycle ---- *)
 
 let start ?harness cfg =
-  if cfg.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
+  if cfg.lanes < 1 then invalid_arg "Server.start: lanes must be >= 1";
   if cfg.capacity < 1 then invalid_arg "Server.start: capacity must be >= 1";
   if cfg.max_batch < 1 then invalid_arg "Server.start: max_batch must be >= 1";
-  if cfg.linger_s < 0.0 then invalid_arg "Server.start: linger_s must be >= 0";
   if cfg.default_deadline_s <= 0.0 then
     invalid_arg "Server.start: default_deadline_s must be positive";
   if cfg.max_retries < 0 then invalid_arg "Server.start: max_retries must be >= 0";
   if cfg.retry_backoff_s < 0.0 then invalid_arg "Server.start: retry_backoff_s must be >= 0";
-  (match cfg.dispatch with
-  | Slot -> ()
-  | Shared n -> if n < 1 then invalid_arg "Server.start: Shared pool workers must be >= 1");
   List.iter
     (fun (kind, cap) ->
       if kind = "" then invalid_arg "Server.start: class_caps kind must be non-empty";
@@ -694,11 +524,6 @@ let start ?harness cfg =
         | None -> Span.collector ())
     else None
   in
-  let pool =
-    match cfg.dispatch with
-    | Slot -> None
-    | Shared n -> Some (Pool.create ~workers:n ())
-  in
   let t =
     {
       cfg;
@@ -706,7 +531,7 @@ let start ?harness cfg =
       collector;
       slo = (match cfg.slos with [] -> None | slos -> Some (Slo.create slos));
       ingress = Queue.create ~capacity:cfg.capacity;
-      pool;
+      pool = Pool.create ~workers:cfg.lanes ();
       caps =
         Array.of_list
           (List.map
@@ -715,13 +540,9 @@ let start ?harness cfg =
              cfg.class_caps);
       c_cap_deferred = Atomic.make 0;
       mu = Mutex.create ();
-      batcher =
-        Batcher.create
-          { Batcher.max_batch = cfg.max_batch;
-            linger_ns = int_of_float (cfg.linger_s *. 1e9) };
+      batcher = Batcher.create { Batcher.max_batch = cfg.max_batch; linger_ns = 0 };
       sched = Scheduler.create ();
       tickets = Hashtbl.create 64;
-      spans = [];
       retry_mu = Mutex.create ();
       retry_q = [];
       pump_gen = Atomic.make 0;
@@ -739,18 +560,14 @@ let start ?harness cfg =
       c_failed = Atomic.make 0;
       c_retried = Atomic.make 0;
       c_batches = Atomic.make 0;
-      domains = [||];
+      pump = None;
     }
   in
   (* install process-wide so layers below (executors, harness, ABFT)
      can parent their segments onto whatever request is ambient *)
   (match collector with Some _ -> Span.install collector | None -> ());
-  (match pool with
-  | None ->
-    t.domains <- Array.init cfg.workers (fun w -> Domain.spawn (fun () -> worker_loop t w))
-  | Some p ->
-    (* execution concurrency lives in the pool; one pump feeds it *)
-    t.domains <- [| Domain.spawn (fun () -> pump_loop t p) |]);
+  (* execution concurrency lives in the pool; one pump feeds it *)
+  t.pump <- Some (Domain.spawn (fun () -> pump_loop t));
   t
 
 let reject t reason =
@@ -758,18 +575,12 @@ let reject t reason =
   Metrics.incr m_rejected;
   Error (Request.Rejected reason)
 
-(* Admission occupancy against [capacity].
-
-   [Slot]: requests in-system (accept -> completion), the only load signal
-   a run-to-completion worker pool has.
-
-   [Shared]: actual in-flight work — requests travelling towards the
-   shared pool or live in it ([occupied]). A request asleep in the retry
-   queue holds no pool lane and is not counted, so a transient-fault storm
-   does not wedge the admission window shut while everyone waits out
-   backoff. *)
-let window t = match t.pool with None -> t.in_system | Some _ -> t.occupied
-let occupancy t = Atomic.get (window t)
+(* Admission occupancy against [capacity]: actual in-flight work —
+   requests travelling towards the shared pool or live in it. A request
+   asleep in the retry queue holds no pool lane and is not counted, so a
+   transient-fault storm does not wedge the admission window shut while
+   everyone waits out backoff. *)
+let occupancy t = Atomic.get t.occupied
 
 let submit t ?deadline_s payload =
   Request.validate payload;
@@ -778,16 +589,14 @@ let submit t ?deadline_s payload =
   if Atomic.get t.stopping then reject t Request.Shutting_down
   else begin
     (* the admission window: claim a slot before queueing, release on
-       completion (Slot) or on leaving the pool (Shared) — over-claim is
-       undone immediately, so occupancy never stays above capacity *)
-    let w = window t in
-    if Atomic.fetch_and_add w 1 >= t.cfg.capacity then begin
-      Atomic.decr w;
+       leaving the pool — over-claim is undone immediately, so occupancy
+       never stays above capacity *)
+    if Atomic.fetch_and_add t.occupied 1 >= t.cfg.capacity then begin
+      Atomic.decr t.occupied;
       reject t Request.Queue_full
     end
     else begin
-      (* Shared: the window is [occupied]; [in_system] counts alongside *)
-      if Option.is_some t.pool then Atomic.incr t.in_system;
+      Atomic.incr t.in_system;
       let id = Atomic.fetch_and_add t.next_id 1 in
       let now = Clock.now_ns () in
       let req =
@@ -813,7 +622,7 @@ let submit t ?deadline_s payload =
         Mutex.lock t.mu;
         Hashtbl.remove t.tickets id;
         Mutex.unlock t.mu;
-        if Option.is_some t.pool then Atomic.decr w;
+        Atomic.decr t.occupied;
         leave t;
         reject t
           (if pr = Queue.Closed then Request.Shutting_down else Request.Queue_full)
@@ -839,10 +648,10 @@ let stop t =
   if not (Atomic.exchange t.stopping true) then begin
     Queue.close t.ingress;
     wake t;
-    Array.iter Domain.join t.domains;
+    Option.iter Domain.join t.pump;
     (* the pump exits only at in_system = 0, so shutdown finds the pool
        quiescent — this join is the worker domains, not a drain *)
-    (match t.pool with Some p -> Pool.shutdown p | None -> ());
+    Pool.shutdown t.pool;
     (* final post-mortem: workers have quiesced, so the ring now holds
        every failing request's complete chain — overwrite any mid-storm
        first-failure dump with the full picture *)
@@ -885,20 +694,21 @@ let slo_reports t = match t.slo with None -> [] | Some s -> Slo.reports s
 let slo_breached t = match t.slo with None -> false | Some s -> Slo.breached s
 let slo_report_json t = Option.map Slo.report_json t.slo
 
+(* The worker-lane view of the span records: each request's wait on the
+   queue lane and each of its attempts on the pool lane that ran it (the
+   pool reports lane -1 for a job with no tasks; it has no lane to show). *)
 let trace t =
-  Mutex.lock t.mu;
-  let spans = t.spans in
-  Mutex.unlock t.mu;
   let tr = Trace.create ~workers:(queue_lane t.cfg + 1) in
   List.iter
-    (fun s ->
-      Trace.add tr
-        {
-          Trace.task = s.task;
-          name = s.name;
-          worker = s.lane;
-          start = Clock.ns_to_s (s.start_ns - t.start_ns);
-          finish = Clock.ns_to_s (s.finish_ns - t.start_ns);
-        })
-    spans;
+    (fun (s : Span.record) ->
+      if (s.Span.phase = "wait" || s.Span.phase = "attempt") && s.Span.lane >= 0 then
+        Trace.add tr
+          {
+            Trace.task = s.Span.request;
+            name = Printf.sprintf "%s(%d)" s.Span.name s.Span.request;
+            worker = s.Span.lane;
+            start = Clock.ns_to_s (s.Span.start_ns - t.start_ns);
+            finish = Clock.ns_to_s (s.Span.finish_ns - t.start_ns);
+          })
+    (span_records t);
   tr

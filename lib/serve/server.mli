@@ -1,109 +1,87 @@
 (** The concurrent solver service.
 
     Pipeline: admission control -> bounded ingress {!Queue} -> dynamic
-    {!Batcher} -> earliest-deadline-first {!Scheduler} -> persistent
-    worker-domain pool. Requests beyond the admission window are rejected
-    with a typed error at submit (backpressure — total in-system memory is
-    bounded by [capacity] end to end, counting queued, staged and executing
-    requests); admitted requests always resolve to a typed
-    {!Request.completion}.
+    {!Batcher} -> earliest-deadline-first {!Scheduler} -> one shared
+    deadline-aware task pool ({!Xsc_runtime.Pool}) on [lanes] persistent
+    worker domains. Requests beyond the admission window are rejected with
+    a typed error at submit (backpressure); admitted requests always
+    resolve to a typed {!Request.completion}.
 
-    The window is measured differently per dispatch mode (see
-    {!occupancy}): [Slot] counts requests in-system; [Shared] counts
-    actual in-flight work — requests travelling towards the pool or live
-    in it — so a retry asleep in backoff frees its slot and in-system
-    memory is bounded by [capacity] plus the transient backoff
-    population.
+    Every request's tiled DAG ({!Route}) is submitted into the pool: no
+    per-request executor or barrier, and the request's EDF deadline
+    reaches {e task} granularity (composite {!Xsc_runtime.Prio} key), so a
+    small request entering while a large factorization streams preempts at
+    the next task boundary — its wait is bounded by ~one task's service
+    time, not the large DAG's tail. The server does not linger: each batch
+    member is its own pool job and the pool already orders tasks by
+    deadline, so waiting for batch company would only add delay. One
+    event-driven pump domain dispatches whatever has arrived as soon as it
+    is woken, and blocks (no polling, no CPU) while there is nothing to
+    do.
+
+    The window counts actual in-flight work (see {!occupancy}) — requests
+    travelling towards the pool or live in it — so a retry asleep in
+    backoff frees its slot and in-system memory is bounded by [capacity]
+    plus the transient backoff population.
 
     {2 Fault isolation}
 
-    Batch members execute as independent result slots
-    ({!Xsc_core.Batched.run_batch_results}): one singular matrix or one
-    injected fault fails exactly that request — never its batch, never the
-    server. Transient injected faults ({!Xsc_resilience.Harness.Injected}
-    under a [transient] policy) are retried with exponential backoff up to
-    [max_retries]; deterministic kernel failures fail fast.
+    Batch members execute as independent pool jobs: one singular matrix or
+    one injected fault aborts exactly that request's job — never its
+    batch, never the server. Transient injected faults
+    ({!Xsc_resilience.Harness.Injected} under a [transient] policy) are
+    retried with exponential backoff up to [max_retries] (the pump holds
+    them; no pool lane ever sleeps); deterministic kernel failures fail
+    fast.
 
     {2 Observability}
 
     Counters [serve.admitted\]/[rejected]/[completed]/[failed]/[retried]/
     [batches] and log2 histograms [serve.queue_wait_s]/[service_s]/
     [total_s]/[batch_size]/[alloc_minor_words_per_req] feed the
-    {!Xsc_obs.Metrics} registry; {!trace} exports per-request queue-wait
-    and service spans as a {!Xsc_runtime.Trace.t} (one lane per worker
-    plus a queue lane), so a served run drops into the existing
-    Chrome-trace pipeline.
+    {!Xsc_obs.Metrics} registry.
 
-    With [spans] on (the default), the server additionally keeps a causal
-    {!Xsc_obs.Span} tree per request: a root span minted at admission,
-    wait and per-attempt child spans, plus whatever executor tasks,
-    injected faults and ABFT replays run under the attempt's ambient
-    context. {!span_chrome_json} renders one contiguous lane per request
-    (pid 1) with flow-event parent arrows — retries included. [slos]
-    attaches per-class burn-rate monitors ({!Slo}); [flight_path] arms
-    the crash {!Xsc_resilience.Flight} recorder, dumped on the first
-    permanent request failure, on entering SLO breach, and at [stop] when
-    any request failed. *)
-
-(** How claimed batches execute.
-
-    [Slot]: a worker domain claims a batch and runs its members to
-    completion ({!Xsc_core.Batched.run_batch_results}) — request-granular
-    occupancy: a large request holds its lane for its whole service time.
-
-    [Shared n]: every request's tiled DAG is submitted into one shared
-    deadline-aware task pool ({!Xsc_runtime.Pool}) on [n] persistent
-    worker domains via {!Route}. No per-request executor or barrier; the
-    request's EDF deadline reaches {e task} granularity (composite
-    {!Xsc_runtime.Prio} key), so a small request entering while a large
-    factorization streams preempts at the next task boundary — its wait
-    is bounded by ~one task's service time, not the large DAG's tail.
-    Fault isolation, transient-fault retry and span parentage carry over:
-    a failing task aborts only its own job, retries resubmit after
-    backoff (the pump holds them; no pool lane ever sleeps), and task
-    spans parent onto the submitting request even when many requests
-    interleave on one lane.
-
-    [Shared] does not linger: each member of a batch is its own pool job
-    and the pool already orders tasks by deadline, so waiting for batch
-    company would only add delay. One event-driven pump domain dispatches
-    whatever has arrived as soon as it is woken, and blocks (no polling,
-    no CPU) while there is nothing to do. *)
-type dispatch =
-  | Slot
-  | Shared of int
+    With [spans] on (the default), the server keeps a causal
+    {!Xsc_obs.Span} tree per request in a bounded collector: a root span
+    minted at admission, wait and per-attempt child spans, plus whatever
+    executor tasks, injected faults and ABFT replays run under the
+    attempt's ambient context (task spans parent onto the submitting
+    request even when many requests interleave on one lane). {!trace}
+    renders the wait and attempt spans as a {!Xsc_runtime.Trace.t} (one
+    lane per pool worker plus a queue lane), so a served run drops into
+    the existing Chrome-trace pipeline. {!span_chrome_json} renders one
+    contiguous lane per request (pid 1) with flow-event parent arrows —
+    retries included. [slos] attaches per-class burn-rate monitors
+    ({!Slo}); [flight_path] arms the crash {!Xsc_resilience.Flight}
+    recorder, dumped on the first permanent request failure, on entering
+    SLO breach, and at [stop] when any request failed. *)
 
 type config = {
-  workers : int;  (** persistent worker domains ([Slot] mode) *)
-  capacity : int;  (** admission window: max requests in-system at once *)
-  max_batch : int;  (** size-triggered batch flush ([Slot] mode) *)
-  linger_s : float;
-      (** time-triggered batch flush ([Slot] mode; [Shared] flushes every
-          open batch at once) *)
+  lanes : int;  (** pool worker domains *)
+  capacity : int;  (** admission window: max requests in flight at once *)
+  max_batch : int;
+      (** batch size bound. Every open batch is dispatched at once, so
+          this only bounds how far a batch can overshoot its class cap *)
   default_deadline_s : float;  (** deadline when [submit] passes none *)
   max_retries : int;  (** retry budget for transient injected faults *)
   retry_backoff_s : float;  (** base backoff, doubled per retry *)
   spans : bool;  (** keep causal span records per request *)
   slos : Slo.objective list;  (** per-class burn-rate monitors; [[]] = off *)
   flight_path : string option;  (** arm the flight recorder: dump here *)
-  dispatch : dispatch;  (** batch execution mode (default [Shared 2]) *)
   class_caps : (string * int) list;
-      (** class-aware dispatch ([Shared] mode only): at most [cap]
-          attempts of kind [kind] (a {!Request.kind_name}, e.g. ["cg"])
-          live in the pool at once. A capped class's batches wait in the
+      (** class-aware dispatch: at most [cap] attempts of kind [kind] (a
+          {!Request.kind_name}, e.g. ["cg"]) live in the pool at once. A capped class's batches wait in the
           EDF heap — keeping their place in line — while the class is at
           its cap, so a stream of long bandwidth-bound solves cannot
           occupy every pool lane and destroy compute-bound tail latency.
           Checked at batch granularity (a batch may overshoot its cap by
-          its own size minus one); ignored under [Slot]. [[]] = uncapped. *)
+          its own size minus one). [[]] = uncapped. *)
 }
 
 val default_config : config
-(** Shared-pool dispatch on 2 domains ([workers], [max_batch] and
-    [linger_s] only apply when [Slot] is selected: 2 workers, batches of
-    8 with a 2 ms linger), capacity 64, 250 ms deadline, 3 retries from a
-    0.5 ms base backoff; spans on, no SLOs, no class caps, flight
-    recorder unarmed. *)
+(** 2 pool lanes, capacity 64, batches of at most 8, 250 ms deadline,
+    3 retries from a 0.5 ms base backoff; spans on, no SLOs, no class
+    caps, flight recorder unarmed. *)
 
 type t
 type ticket
@@ -124,7 +102,7 @@ type counters = {
 }
 
 val start : ?harness:Xsc_resilience.Harness.t -> config -> t
-(** Spawn the worker pool. [harness] injects per-request faults keyed by
+(** Spawn the pool and its pump. [harness] injects per-request faults keyed by
     request id ({!Xsc_resilience.Harness.wrap_thunk}) — the seeded
     fault-storm hook. Raises [Invalid_argument] on nonsensical config. *)
 
@@ -160,18 +138,19 @@ val class_live : t -> string -> int
 
 val occupancy : t -> int
 (** Momentary admission-window occupancy, the quantity {!submit} compares
-    against [capacity]. [Slot]: the in-system count. [Shared]: actual
-    in-flight work — requests from admission until their attempt leaves
-    the shared pool, plus retries back in it. A slot frees before the
-    request's ticket resolves, so a client resubmitting the moment its
-    answer arrives is never refused for it. A request waiting out a
-    transient retry backoff holds no pool lane and is not counted, so
-    admission keeps flowing while retries sleep. *)
+    against [capacity]: actual in-flight work — requests from admission
+    until their attempt leaves the shared pool, plus retries back in it.
+    A slot frees before the request's ticket resolves, so a client
+    resubmitting the moment its answer arrives is never refused for it. A
+    request waiting out a transient retry backoff holds no pool lane and
+    is not counted, so admission keeps flowing while retries sleep. *)
 
 val trace : t -> Xsc_runtime.Trace.t
-(** Spans of every completed request: service spans on worker lanes
-    [0..workers-1], queue-wait spans on lane [workers]. Feed to
-    {!Xsc_runtime.Trace.to_chrome_json}. *)
+(** The [wait] and [attempt] records of {!span_records}: one attempt
+    entry per execution on the pool lane that ran it ([0..lanes-1]),
+    retries included, and one queue-wait entry per completed request on
+    lane [lanes]. Empty when [spans] is off; bounded like the collector
+    (see {!span_dropped}). Feed to {!Xsc_runtime.Trace.to_chrome_json}. *)
 
 val origin_ns : t -> int
 (** Monotonic timestamp taken at [start]; span export rebases on it. *)

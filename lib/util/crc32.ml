@@ -1,14 +1,14 @@
+(* Built at module initialisation, not lazily: two domains forcing a lazy
+   table together raise CamlinternalLazy.Undefined in one of them. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let bytes (b : Bytes.t) =
-  let table = Lazy.force table in
   let c = ref 0xFFFFFFFF in
   for i = 0 to Bytes.length b - 1 do
     c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!c lsr 8)

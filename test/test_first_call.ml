@@ -1,11 +1,12 @@
-(* First calls racing from two domains. The process-wide counters behind
-   Blas's flop tallies and Span's drop count must already exist when two
-   domains reach them together: a counter built lazily on first use
-   raises CamlinternalLazy.Undefined in the domain that forces it while
-   another is still forcing it. Only the first use in a process can race,
-   so the test re-runs itself as fresh child processes; in each child the
-   first action is two domains, released together from a spin barrier,
-   making the process's first Blas.gemm call and its first Span drop. *)
+(* First calls racing from two domains. Crc32's table and the
+   process-wide counters behind Blas's flop tallies and Span's drop count
+   must already exist when two domains reach them together: a value built
+   lazily on first use raises CamlinternalLazy.Undefined in the domain
+   that forces it while another is still forcing it. Only the first use
+   in a process can race, so the test re-runs itself as fresh child
+   processes; in each child the first action is two domains, released
+   together from a spin barrier, making the process's first Crc32 call,
+   its first Blas.gemm call and its first Span drop. *)
 
 module Blas = Xsc_linalg.Blas
 module Mat = Xsc_linalg.Mat
@@ -15,6 +16,7 @@ let children = 16
 let child_flag = "--race-child"
 
 let first_calls () =
+  ignore (Xsc_util.Crc32.string "race");
   let a = Mat.identity 4 in
   Blas.gemm ~alpha:1.0 a a ~beta:0.0 (Mat.create 4 4);
   (* a one-record collector drops the second record *)

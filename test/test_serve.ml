@@ -239,7 +239,7 @@ let test_server_serves_bitwise () =
   let cfg = { Loadgen.default with seed = 5; count = 40; rate_hz = 4000.0; n = 12;
               kinds = [| Loadgen.Spd; Loadgen.General; Loadgen.Product |] } in
   let srv =
-    Server.start { Server.default_config with workers = 2; capacity = 64; linger_s = 0.0005 }
+    Server.start { Server.default_config with capacity = 64 }
   in
   let arrivals = Loadgen.schedule cfg in
   let tickets =
@@ -263,7 +263,7 @@ let test_server_serves_bitwise () =
     tickets;
   Server.stop srv;
   check_counters_reconcile "serve" srv ~offered:cfg.Loadgen.count;
-  (* every completed request left a wait span and a service span *)
+  (* every completed request left a wait span and one attempt span *)
   let tr = Server.trace srv in
   Alcotest.(check int) "two spans per request"
     (2 * cfg.Loadgen.count)
@@ -281,7 +281,7 @@ let test_server_isolates_singular () =
   in
   let srv =
     Server.start
-      { Server.default_config with workers = 1; max_batch = 8; linger_s = 0.001 }
+      { Server.default_config with max_batch = 8 }
   in
   let submit (a, b) = Result.get_ok (Server.submit srv (Request.Spd_solve (a, b))) in
   let g1 = submit (good ()) in
@@ -310,8 +310,7 @@ let test_server_backpressure () =
   let rng = Rng.create 23 in
   let srv =
     Server.start
-      { Server.default_config with workers = 1; capacity = 4; max_batch = 4;
-        linger_s = 0.02 }
+      { Server.default_config with capacity = 4; max_batch = 4 }
   in
   let offered = 50 in
   let tickets =
@@ -332,8 +331,12 @@ let test_server_backpressure () =
   let c = Server.counters srv in
   Alcotest.(check int) "typed rejects counted" rejected c.Server.rejected
 
+let test_server_rejects_zero_lanes () =
+  Alcotest.check_raises "lanes = 0 rejected" (Invalid_argument "Server.start: lanes must be >= 1")
+    (fun () -> ignore (Server.start { Server.default_config with lanes = 0 }))
+
 let test_server_rejects_after_stop () =
-  let srv = Server.start { Server.default_config with workers = 1 } in
+  let srv = Server.start Server.default_config in
   Server.stop srv;
   let rng = Rng.create 3 in
   match Server.submit srv (Request.Spd_solve (Mat.random_spd rng 4, Vec.random rng 4)) with
@@ -352,7 +355,7 @@ let test_server_fault_storm_transient () =
   in
   let srv =
     Server.start ~harness:h
-      { Server.default_config with workers = 2; capacity = 128; max_retries = 3 }
+      { Server.default_config with capacity = 128; max_retries = 3 }
   in
   let r = Loadgen.run_open srv storm_cfg in
   Server.stop srv;
@@ -370,7 +373,7 @@ let test_server_fault_storm_permanent () =
   in
   let srv =
     Server.start ~harness:h
-      { Server.default_config with workers = 2; capacity = 128; max_retries = 2 }
+      { Server.default_config with capacity = 128; max_retries = 2 }
   in
   let arrivals = Loadgen.schedule storm_cfg in
   let tickets =
@@ -412,7 +415,7 @@ module Route = Xsc_serve.Route
 module Scratch = Xsc_serve.Scratch
 
 let shared_cfg n =
-  { Server.default_config with workers = 1; dispatch = Server.Shared n; capacity = 256 }
+  { Server.default_config with lanes = n; capacity = 256 }
 
 let shared_load =
   { Loadgen.seed = 61; count = 40; rate_hz = 5000.0; n = 24;
@@ -545,18 +548,16 @@ let wait_for ~what ?(timeout_s = 5.0) f =
   in
   go ()
 
-(* Shared admission reads actual in-flight work (Pool.live_jobs plus
-   requests travelling towards it), not the in-system count: a retry
-   asleep in backoff holds no pool lane, so its window slot frees and a
-   new request is admitted while it sleeps. Slot mode is the control —
-   the same sleeping retry keeps the window full there. *)
+(* Admission reads actual in-flight work (Pool.live_jobs plus requests
+   travelling towards it), not the in-system count: a retry asleep in
+   backoff holds no pool lane, so its window slot frees and a new request
+   is admitted while it sleeps. *)
 let test_shared_admission_while_retry_sleeps () =
   let h =
     Harness.create { Harness.default with seed = 3; p_raise = 1.0; transient = true }
   in
   let cfg =
-    { Server.default_config with workers = 1; dispatch = Server.Shared 2;
-      capacity = 1; max_batch = 1; linger_s = 0.0; max_retries = 3;
+    { Server.default_config with capacity = 1; max_batch = 1; max_retries = 3;
       retry_backoff_s = 0.5 }
   in
   let srv = Server.start ~harness:h cfg in
@@ -579,24 +580,7 @@ let test_shared_admission_while_retry_sleeps () =
       | Error e -> Alcotest.fail ("request failed: " ^ Request.error_message e))
     [ t0; t1 ];
   Server.stop srv;
-  check_counters_reconcile "shared sleeping retry" srv ~offered:2;
-  (* control: Slot occupancy is the in-system count, so the identical
-     sleeping retry keeps the window full and the second submit bounces *)
-  let h2 =
-    Harness.create { Harness.default with seed = 3; p_raise = 1.0; transient = true }
-  in
-  let srv2 = Server.start ~harness:h2 { cfg with dispatch = Server.Slot } in
-  let t0 = Result.get_ok (Server.submit srv2 (payload ())) in
-  wait_for ~what:"first injected raise (slot)" (fun () -> Harness.raised h2 >= 1);
-  (match Server.submit srv2 (payload ()) with
-  | Error (Request.Rejected Request.Queue_full) -> ()
-  | Ok _ -> Alcotest.fail "Slot control admitted through a held window"
-  | Error e -> Alcotest.fail ("expected Queue_full, got " ^ Request.error_message e));
-  (match (Server.await srv2 t0).Request.outcome with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("slot request failed: " ^ Request.error_message e));
-  Server.stop srv2;
-  check_counters_reconcile "slot control" srv2 ~offered:2
+  check_counters_reconcile "shared sleeping retry" srv ~offered:2
 
 (* Thousands of requests through the shared pool in closed-loop chunks:
    counters reconcile exactly, the span collector sheds nothing, and the
@@ -608,8 +592,7 @@ let test_shared_soak () =
   let total = 1600 and chunk = 200 in
   let srv =
     Server.start
-      { Server.default_config with workers = 1; dispatch = Server.Shared 2;
-        capacity = 256; max_batch = 8; linger_s = 0.0005 }
+      { Server.default_config with capacity = 256; max_batch = 8 }
   in
   let rng = Rng.create 53 in
   let chunks = total / chunk in
@@ -666,12 +649,10 @@ let expect_ok (c : Request.completion) =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("request failed: " ^ Request.error_message e)
 
-(* Shared dispatch does not linger: a lone request on an idle server is
-   dispatched as soon as the pump wakes, whatever [linger_s] says. (Its
-   deadline lies beyond the linger, so the batcher's deadline-urgency
-   trigger would not flush it either.) *)
+(* The server does not linger: a lone request on an idle server is
+   dispatched as soon as the pump wakes, not when batch company arrives. *)
 let test_pump_no_linger () =
-  let srv = Server.start { Server.default_config with linger_s = 1.0 } in
+  let srv = Server.start Server.default_config in
   let rng = Rng.create 71 in
   (* let the pump reach its idle wait first *)
   Unix.sleepf 0.02;
@@ -876,7 +857,7 @@ let test_sparse_class_cap () =
   let srv =
     Server.start
       { (shared_cfg 2) with Server.class_caps = [ ("cg", 1) ];
-        max_batch = 1; linger_s = 0.0 }
+        max_batch = 1 }
   in
   let rng = Rng.create 7 in
   let a = Stencil.poisson_3d 8 in
@@ -1180,7 +1161,7 @@ let test_server_span_chains () =
   in
   let srv =
     Server.start ~harness:h
-      { Server.default_config with workers = 2; capacity = 128; max_retries = 3 }
+      { Server.default_config with capacity = 128; max_retries = 3 }
   in
   let arrivals = Loadgen.schedule storm_cfg in
   let tickets =
@@ -1214,20 +1195,37 @@ let test_server_span_chains () =
         (fun s ->
           Alcotest.(check int) "attempts parent on the root" root.Span.span s.Span.parent)
         atts)
+    completions;
+  (* the worker-lane trace is derived from the same records: a retried
+     request shows one pool-lane entry per attempt and one queue-lane wait *)
+  let module Trace = Xsc_runtime.Trace in
+  let tr = Server.trace srv in
+  let queue_lane = Trace.workers tr - 1 in
+  let count i on_lane =
+    List.length
+      (List.filter (fun e -> e.Trace.task = i && on_lane e.Trace.worker) (Trace.entries tr))
+  in
+  Alcotest.(check bool) "some request was retried" true
+    (Array.exists (fun c -> c.Request.retries > 0) completions);
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) "one trace entry per attempt" (c.Request.retries + 1)
+        (count i (fun w -> w < queue_lane));
+      Alcotest.(check int) "one queue-lane wait" 1 (count i (fun w -> w = queue_lane)))
     completions
 
 let test_server_spans_off () =
-  let srv =
-    Server.start { Server.default_config with workers = 1; spans = false }
-  in
+  let srv = Server.start { Server.default_config with spans = false } in
   let r = Loadgen.run_open srv { storm_cfg with Loadgen.count = 8 } in
   Server.stop srv;
   Alcotest.(check int) "all served" 8 r.Loadgen.completed;
   Alcotest.(check int) "no span records kept" 0
-    (List.length (Server.span_records srv))
+    (List.length (Server.span_records srv));
+  Alcotest.(check int) "empty trace" 0
+    (List.length (Xsc_runtime.Trace.entries (Server.trace srv)))
 
 let test_server_span_chrome_lanes () =
-  let srv = Server.start { Server.default_config with workers = 2 } in
+  let srv = Server.start Server.default_config in
   let count = 12 in
   let r = Loadgen.run_open srv { storm_cfg with Loadgen.count } in
   Server.stop srv;
@@ -1320,7 +1318,6 @@ let test_server_flight_dump_on_permanent_failure () =
       let srv =
         Server.start ~harness:h
           { Server.default_config with
-            workers = 2;
             capacity = 128;
             max_retries;
             slos = [ { Slo.kind = "*"; latency_s = 5.0; error_budget = 0.01 } ];
@@ -1413,6 +1410,7 @@ let () =
             test_server_isolates_singular;
           Alcotest.test_case "backpressure rejects typed" `Quick test_server_backpressure;
           Alcotest.test_case "rejects after stop" `Quick test_server_rejects_after_stop;
+          Alcotest.test_case "start rejects zero lanes" `Quick test_server_rejects_zero_lanes;
           Alcotest.test_case "fault storm: transient retried" `Quick
             test_server_fault_storm_transient;
           Alcotest.test_case "fault storm: permanent typed" `Quick
