@@ -149,14 +149,13 @@ let sched_record ~nt ~nb ~workers =
   let rng = Rng.create 7 in
   let a = Mat.random_spd rng n in
   let dag = Cholesky.dag_ops ~nt ~nb in
-  let priority = Xsc_core.Runtime_api.critical_path_priority dag in
   let run exec =
     let p = Packed.D.of_mat ~nb a in
     let interp = Cholesky.packed_interp p in
     match exec with
     | `Seq -> Real_exec.run_sequential ~interp dag
     | `Forkjoin -> Real_exec.run_forkjoin ~interp ~workers dag
-    | `Dataflow -> Real_exec.run_dataflow ~interp ~priority ~workers dag
+    | `Dataflow -> Xsc_runtime.Pool.run_once ~interp ~workers dag
   in
   let median exec =
     let rs = Array.init 5 (fun _ -> run exec) in
@@ -185,8 +184,7 @@ let sched_record ~nt ~nb ~workers =
   let per_kernel =
     let p = Packed.D.of_mat ~nb a in
     let traced =
-      Real_exec.run_dataflow ~interp:(Cholesky.packed_interp p) ~priority ~trace:true
-        ~workers dag
+      Xsc_runtime.Pool.run_once ~interp:(Cholesky.packed_interp p) ~trace:true ~workers dag
     in
     match traced.Real_exec.trace with
     | None -> []

@@ -25,7 +25,7 @@ let () =
     (Solver.residual a x b)
     (Vec.dist_inf x x_true /. Vec.norm_inf x_true);
 
-  (* 3. the same solve on the dynamic dataflow executor *)
+  (* 3. the same solve on the shared work-stealing pool *)
   let workers = max 2 (Xsc_runtime.Real_exec.default_workers ()) in
   let x_par = Solver.solve_spd ~opts:(Solver.with_workers workers) a b in
   Printf.printf "solve_spd (%d domains): backward error %.2e (bitwise equal: %b)\n\n" workers

@@ -1,10 +1,6 @@
 type kind =
   | Task_start
   | Task_finish
-  | Steal
-  | Steal_fail
-  | Park
-  | Unpark
   | Barrier_enter
   | Barrier_exit
 
@@ -15,22 +11,14 @@ type t = { rings : Ring.t array; t0_ns : int }
 let kind_to_int = function
   | Task_start -> 0
   | Task_finish -> 1
-  | Steal -> 2
-  | Steal_fail -> 3
-  | Park -> 4
-  | Unpark -> 5
-  | Barrier_enter -> 6
-  | Barrier_exit -> 7
+  | Barrier_enter -> 2
+  | Barrier_exit -> 3
 
 let kind_of_int = function
   | 0 -> Task_start
   | 1 -> Task_finish
-  | 2 -> Steal
-  | 3 -> Steal_fail
-  | 4 -> Park
-  | 5 -> Unpark
-  | 6 -> Barrier_enter
-  | 7 -> Barrier_exit
+  | 2 -> Barrier_enter
+  | 3 -> Barrier_exit
   | k -> invalid_arg (Printf.sprintf "Tracer: unknown event kind %d" k)
 
 let create ~domains ~capacity =

@@ -1,11 +1,11 @@
 (** Domain-local event tracing for the real executors.
 
     A tracer owns one preallocated {!Ring} per worker domain. The worker
-    records scheduling events (task start/finish, steal success/failure,
-    park/unpark, barrier enter/exit) against the shared monotonic
-    {!Clock}; because each ring has a single writer there is no
-    synchronisation on the recording path, and the rings are merged into a
-    [Trace.t] only after the domains have been joined.
+    records scheduling events (task start/finish, barrier enter/exit)
+    against the shared monotonic {!Clock}; because each ring has a single
+    writer there is no synchronisation on the recording path, and the
+    rings are merged into a [Trace.t] only after the workers are done with
+    the run.
 
     Tracing is runtime-toggleable: executors consult {!enabled_by_env}
     ([XSC_TRACE=1]) when the caller does not pass [~trace] explicitly, and
@@ -15,10 +15,6 @@
 type kind =
   | Task_start  (** [arg] = task id *)
   | Task_finish  (** [arg] = task id; closure time only, excludes successor release *)
-  | Steal  (** successful steal; [arg] = victim worker *)
-  | Steal_fail  (** a full failed sweep over victims; [arg] = sweep number *)
-  | Park  (** worker about to block on the idle condvar *)
-  | Unpark  (** worker woken *)
   | Barrier_enter  (** fork-join level barrier; [arg] = level *)
   | Barrier_exit  (** [arg] = level *)
 

@@ -107,7 +107,8 @@ let load_value_with ~magic:m path : ('a, load_error) result =
           else begin
             let payload_len = get_le header ~pos:8 ~bytes:8 in
             let crc = get_le header ~pos:16 ~bytes:4 in
-            if len - header_len < payload_len then Error Truncated
+            (* a flipped top bit reads back as a negative length *)
+            if payload_len < 0 || len - header_len < payload_len then Error Truncated
             else begin
               let payload = Bytes.create payload_len in
               really_input ic payload 0 payload_len;

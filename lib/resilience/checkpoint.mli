@@ -34,7 +34,9 @@ val expected_time : params -> interval:float -> float
 
 type load_error =
   | No_such_file
-  | Truncated  (** file shorter than the header, or than the declared payload *)
+  | Truncated
+      (** file shorter than the header or than the declared payload, or a
+          declared payload length that reads back negative *)
   | Bad_magic  (** not a checkpoint file *)
   | Bad_version of int  (** written by an incompatible format version *)
   | Bad_crc  (** payload does not match its checksum: corrupt checkpoint *)

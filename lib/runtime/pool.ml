@@ -1,24 +1,25 @@
-(* The shared deadline-aware task pool: one long-lived work-stealing
-   runtime serving the tiled DAGs of every in-flight computation at once.
+(* The shared deadline-aware task pool: the repository's one dynamic DAG
+   scheduler, a work-stealing runtime serving the tiled DAGs of every
+   in-flight computation at once.
 
-   Where [Real_exec.run_dataflow] is run-to-completion — spawn domains,
-   drain one DAG, barrier, join — the pool keeps a fixed set of persistent
-   worker domains and accepts DAG submissions dynamically: each [submit]
-   registers a job (its own DAG, indegree counters and completion
-   callback), injects the job's source tasks into a global priority queue
-   ({!Pqueue}), and returns immediately. Tasks from any number of jobs
-   interleave on the same deques; a job's completion is signalled by a
-   per-task countdown, not a barrier, so no worker ever idles behind one
-   computation's tail while another has ready work.
+   The pool keeps a fixed set of persistent worker domains and accepts DAG
+   submissions dynamically: each [submit] registers a job (its own DAG,
+   indegree counters and completion callback), injects the job's source
+   tasks into a global priority queue ({!Pqueue}), and returns
+   immediately. Tasks from any number of jobs interleave on the same
+   deques; a job's completion is signalled by a per-task countdown, not a
+   barrier, so no worker ever idles behind one computation's tail while
+   another has ready work. [run] is the blocking form, and [run_once]
+   runs one DAG on a pool made for the call.
 
    Priority is the composite {!Prio} key — request deadline first
    (EDF down to task granularity), flops-weighted bottom level as the
    critical-path tie-break, then FIFO. It orders the injection queue, and
    it orders the ready successors a worker pushes onto its own deque
-   (ascending, so the most urgent child sits at the LIFO end and runs next
-   while its parent's output is cache-warm). Between tasks, every worker
-   makes one cheap check (an atomic load) whether the injection queue
-   holds work with a strictly earlier deadline than the task it just
+   (least urgent first, so the most urgent child sits at the LIFO end and
+   runs next while its parent's output is cache-warm). Between tasks, every
+   worker makes one cheap check (an atomic load) whether the injection
+   queue holds work with a strictly earlier deadline than the task it just
    popped; if so it pushes the popped task back and takes the urgent one —
    that single yield point is what bounds a small request's queueing
    behind a large factorization to one task's service time instead of the
@@ -30,14 +31,17 @@
    handle is ever orphaned) but their bodies are skipped. Other jobs are
    untouched — one poisoned request cannot take down the pool.
 
-   Span parentage is per job, not per pool: each job carries the span
-   context it was submitted under, and every task body runs with that
-   context re-seated, so task-level spans parent onto the right request
-   even when tasks from many requests interleave on one domain. *)
+   Span parentage and tracing are per job, not per pool: each job carries
+   the span context it was submitted under, and every task body runs with
+   that context re-seated, so task-level spans parent onto the right
+   request even when tasks from many requests interleave on one domain. A
+   traced job carries its own tracer; each worker records into its own
+   domain's ring, so every ring keeps a single writer. *)
 
 module Clock = Xsc_obs.Clock
 module Metrics = Xsc_obs.Metrics
 module Span = Xsc_obs.Span
+module Tracer = Xsc_obs.Tracer
 
 let m_tasks = Metrics.counter "runtime.tasks_executed"
 let m_steals = Metrics.counter "runtime.steals"
@@ -53,7 +57,7 @@ let m_yields = Metrics.counter "pool.deadline_yields"
 
 (* Task handles pack (job slot, task id) into one immediate int so the
    Chase-Lev deques keep carrying unboxed ints: nothing for the GC to
-   scan in the steal loop, exactly as in the run-to-completion executor. *)
+   scan in the steal loop. *)
 let tid_bits = 24
 let tid_mask = (1 lsl tid_bits) - 1
 
@@ -69,10 +73,12 @@ type job = {
   aborted : bool Atomic.t;
   failure : Real_exec.failure option Atomic.t;
   sctx : Span.ctx option;
+  tracer : Tracer.t option;
   on_done : Real_exec.failure option -> worker:int -> unit;
 }
 
 type t = {
+  id : int;  (* process-unique, names the pool in its workers' DLS *)
   workers : int;
   max_jobs : int;
   deques : Deque.t array;
@@ -99,12 +105,12 @@ let job_of t h =
   | Some j -> j
   | None -> assert false (* a live handle always names a registered job *)
 
-let wake_parked t =
-  if Atomic.get t.parked > 0 then begin
-    Mutex.lock t.park_mutex;
-    Condition.broadcast t.park_cond;
-    Mutex.unlock t.park_mutex
-  end
+let wake_all t =
+  Mutex.lock t.park_mutex;
+  Condition.broadcast t.park_cond;
+  Mutex.unlock t.park_mutex
+
+let wake_parked t = if Atomic.get t.parked > 0 then wake_all t
 
 let some_work t =
   Array.exists (fun d -> Deque.size d > 0) t.deques || not (Pqueue.is_empty t.inj)
@@ -137,10 +143,10 @@ let release_successors t wid (job : job) tid =
   (match ready with
   | [] -> ()
   | ready ->
-    (* ascending priority, so the most urgent child ends on top of the
+    (* least urgent first, so the most urgent child ends on top of the
        LIFO end of this worker's deque and runs next *)
     let ordered =
-      List.stable_sort (fun a b -> Prio.compare (key_of job a) (key_of job b)) ready
+      List.stable_sort (fun a b -> Prio.compare (key_of job b) (key_of job a)) ready
     in
     List.iter (fun s -> Deque.push t.deques.(wid) (handle job s)) ordered;
     wake_parked t);
@@ -151,12 +157,13 @@ let run_task t wid h =
   let job = job_of t h in
   let tid = h land tid_mask in
   let task = job.dag.Dag.tasks.(tid) in
-  (if not (Atomic.get job.aborted) then
-     match
-       Span.with_current job.sctx (fun () ->
-           Real_exec.with_task_span job.sctx ~wid task (fun () ->
-               Real_exec.exec_body job.interp task))
-     with
+  (if not (Atomic.get job.aborted) then begin
+     Real_exec.event job.tracer ~domain:wid Tracer.Task_start ~arg:tid;
+     (match
+        Span.with_current job.sctx (fun () ->
+            Real_exec.with_task_span job.sctx ~wid task (fun () ->
+                Real_exec.exec_body job.interp task))
+      with
      | () -> ()
      | exception e ->
        let f =
@@ -170,6 +177,9 @@ let run_task t wid h =
        ignore (Atomic.compare_and_set job.failure None (Some f));
        Metrics.incr m_failures;
        Atomic.set job.aborted true);
+     (* finish marks the body only: successor release is scheduler time *)
+     Real_exec.event job.tracer ~domain:wid Tracer.Task_finish ~arg:tid
+   end);
   (* successors are released (and the countdown advanced) even for an
      aborted job, with bodies skipped: the job must drain so its slot can
      be freed and its callback fired exactly once *)
@@ -177,7 +187,29 @@ let run_task t wid h =
 
 (* ---- worker loop ---- *)
 
+(* How many failed steal sweeps before a worker parks, with exponential
+   backoff between sweeps. Parking is the slow path (a mutex + condvar
+   round trip against one CAS per steal), so an idle worker re-probes the
+   victims a few times first — but each failed sweep doubles the pause
+   before the next, so a starved worker stops hammering the victims'
+   deque tops with CAS traffic. BENCH_0002 measured 16 attempts per
+   successful steal with fixed 32-sweep spinning; bounded backoff cuts
+   the probe budget per idle episode ~5x while the growing pauses keep
+   the latency to discover new work comparable. *)
+let max_sweeps = 6
+
+let[@inline] backoff sweeps =
+  let spins = 16 lsl min sweeps 8 in
+  for _ = 1 to spins do
+    Domain.cpu_relax ()
+  done
+
+(* The id of the pool whose worker the current domain is, or -1: [run]
+   refuses to block a worker on its own pool. *)
+let worker_of : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
+
 let worker t wid =
+  Domain.DLS.set worker_of t.id;
   let my = t.deques.(wid) in
   let l_steals = ref 0 and l_attempts = ref 0 in
   let l_parks = ref 0 and l_park_ns = ref 0 and l_tasks = ref 0 and l_yields = ref 0 in
@@ -252,14 +284,14 @@ let worker t wid =
       | None -> hunt 0)
   and hunt sweeps =
     if Atomic.get t.stopping && not (some_work t) then ()
-    else if t.workers = 1 || sweeps >= Real_exec.max_sweeps then begin
+    else if t.workers = 1 || sweeps >= max_sweeps then begin
       park ();
       if Atomic.get t.stopping && not (some_work t) then () else local ()
     end
     else begin
       let rec sweep attempts =
         if attempts >= t.workers - 1 then begin
-          Real_exec.backoff sweeps;
+          backoff sweeps;
           hunt (sweeps + 1)
         end
         else begin
@@ -282,28 +314,36 @@ let worker t wid =
 
 (* ---- lifecycle ---- *)
 
+let next_id = Atomic.make 0
+
+(* A pool with no domains yet: [spawn] starts workers [from .. workers-1]. *)
+let make ~max_jobs ~workers =
+  {
+    id = Atomic.fetch_and_add next_id 1;
+    workers;
+    max_jobs;
+    deques = Array.init workers (fun _ -> Deque.create ~capacity:256 ());
+    inj = Pqueue.create ();
+    jobs = Array.init max_jobs (fun _ -> Atomic.make None);
+    mu = Mutex.create ();
+    free_slots = List.init max_jobs Fun.id;
+    live = 0;
+    jseq_next = Atomic.make 0;
+    parked = Atomic.make 0;
+    park_mutex = Mutex.create ();
+    park_cond = Condition.create ();
+    stopping = Atomic.make false;
+    domains = [||];
+  }
+
+let spawn t ~from =
+  t.domains <- Array.init (t.workers - from) (fun i -> Domain.spawn (fun () -> worker t (from + i)))
+
 let create ?(max_jobs = 4096) ~workers () =
   if workers < 1 then invalid_arg "Pool.create: workers < 1";
   if max_jobs < 1 then invalid_arg "Pool.create: max_jobs < 1";
-  let t =
-    {
-      workers;
-      max_jobs;
-      deques = Array.init workers (fun _ -> Deque.create ~capacity:256 ());
-      inj = Pqueue.create ();
-      jobs = Array.init max_jobs (fun _ -> Atomic.make None);
-      mu = Mutex.create ();
-      free_slots = List.init max_jobs Fun.id;
-      live = 0;
-      jseq_next = Atomic.make 0;
-      parked = Atomic.make 0;
-      park_mutex = Mutex.create ();
-      park_cond = Condition.create ();
-      stopping = Atomic.make false;
-      domains = [||];
-    }
-  in
-  t.domains <- Array.init workers (fun wid -> Domain.spawn (fun () -> worker t wid));
+  let t = make ~max_jobs ~workers in
+  spawn t ~from:0;
   t
 
 let live_jobs t =
@@ -312,7 +352,7 @@ let live_jobs t =
   Mutex.unlock t.mu;
   n
 
-let submit ?interp ?(deadline_ns = max_int) ?sctx t dag ~on_done =
+let enqueue ?interp ?(deadline_ns = max_int) ?sctx ?tracer t dag ~on_done =
   if Atomic.get t.stopping then invalid_arg "Pool.submit: pool is shut down";
   Real_exec.check_bodies interp dag;
   let n = Dag.n_tasks dag in
@@ -344,6 +384,7 @@ let submit ?interp ?(deadline_ns = max_int) ?sctx t dag ~on_done =
         aborted = Atomic.make false;
         failure = Atomic.make None;
         sctx;
+        tracer;
         on_done;
       }
     in
@@ -358,10 +399,13 @@ let submit ?interp ?(deadline_ns = max_int) ?sctx t dag ~on_done =
     wake_parked t
   end
 
-(* Blocking convenience: submit and wait for the job to drain. Must not be
-   called from a pool worker (a worker waiting on its own pool's work is a
-   lost lane, and with one worker a deadlock). *)
+let submit ?interp ?deadline_ns ?sctx t dag ~on_done =
+  enqueue ?interp ?deadline_ns ?sctx t dag ~on_done
+
+(* Blocking convenience: submit and wait for the job to drain. *)
 let run ?interp ?deadline_ns t dag =
+  if Domain.DLS.get worker_of = t.id then
+    invalid_arg "Pool.run: called from a worker of the same pool";
   let mu = Mutex.create () and cv = Condition.create () in
   let result = ref None in
   let t0 = Clock.now_ns () in
@@ -395,11 +439,45 @@ let shutdown t =
     (* workers exit when stopping && no work; wake the sleepers so they
        observe the flag. Live jobs still drain: stopping only stops the
        pool from idling forever, submissions are rejected from now on. *)
-    Mutex.lock t.park_mutex;
-    Condition.broadcast t.park_cond;
-    Mutex.unlock t.park_mutex;
+    wake_all t;
     Array.iter Domain.join t.domains
   end
+
+(* A pool per call rather than one kept for the process: a parked worker
+   domain still takes part in every stop-the-world minor collection, which
+   slows whatever sequential work the process does between DAG runs. The
+   caller is worker 0, so only [workers - 1] domains are spawned and none
+   sits blocked while the DAG runs. *)
+let run_once ?interp ?trace ~workers dag =
+  if workers < 1 then invalid_arg "Pool.run_once: workers < 1";
+  let t = make ~max_jobs:1 ~workers in
+  let tracer = Real_exec.task_tracer ?trace ~workers dag in
+  let failure = ref None in
+  let v = Metrics.counter_value in
+  let steals0 = v m_steals and attempts0 = v m_steal_attempts in
+  let parks0 = v m_parks and park_ns0 = v m_park_ns in
+  let t0 = Clock.now_ns () in
+  enqueue ?interp ?sctx:(Real_exec.span_ctx ()) ?tracer t dag ~on_done:(fun f ~worker:_ ->
+      failure := f;
+      Atomic.set t.stopping true;
+      wake_all t);
+  spawn t ~from:1;
+  let outer = Domain.DLS.get worker_of in
+  worker t 0;
+  Domain.DLS.set worker_of outer;
+  Array.iter Domain.join t.domains;
+  Option.iter (fun f -> raise (Real_exec.Task_failed f)) !failure;
+  (* every worker flushed its tallies on exit, so the deltas are exact *)
+  {
+    Real_exec.elapsed = Clock.ns_to_s (Clock.now_ns () - t0);
+    tasks = Dag.n_tasks dag;
+    workers;
+    steals = v m_steals - steals0;
+    steal_attempts = v m_steal_attempts - attempts0;
+    parks = v m_parks - parks0;
+    park_time = Clock.ns_to_s (v m_park_ns - park_ns0);
+    trace = Option.map (Real_exec.trace_of_tracer dag ~workers ~t0_ns:t0) tracer;
+  }
 
 let workers t = t.workers
 let injected_pending t = Pqueue.length t.inj

@@ -1,15 +1,16 @@
-(** Shared deadline-aware task pool: one long-lived work-stealing runtime
-    serving the DAGs of every in-flight computation at once.
+(** Shared deadline-aware task pool: the one dynamic DAG scheduler, a
+    work-stealing runtime serving the DAGs of every in-flight computation
+    at once.
 
-    Where {!Real_exec.run_dataflow} is run-to-completion (spawn domains,
-    drain one DAG, barrier, join), the pool keeps a fixed set of
-    persistent worker domains and accepts DAG submissions dynamically.
-    Each {!submit} registers a job — its DAG, interpreter, deadline and
-    completion callback — injects the job's source tasks into a global
-    priority queue and returns immediately; tasks from any number of jobs
-    interleave on the same Chase–Lev deques, ordered by the composite
-    {!Prio} key (request deadline first, flops-weighted bottom level as
-    the critical-path tie-break, then FIFO).
+    The pool keeps a fixed set of persistent worker domains and accepts
+    DAG submissions dynamically. Each {!submit} registers a job — its DAG,
+    interpreter, deadline and completion callback — injects the job's
+    source tasks into a global priority queue and returns immediately;
+    tasks from any number of jobs interleave on the same Chase–Lev deques,
+    ordered by the composite {!Prio} key (request deadline first,
+    flops-weighted bottom level as the critical-path tie-break, then
+    FIFO). {!run} is the blocking form, and {!run_once} runs one DAG on a
+    pool made for the call.
 
     The latency-isolation mechanism: between consecutive local tasks every
     worker makes one atomic-load check whether the injection queue holds
@@ -45,7 +46,7 @@ val submit :
   on_done:(Real_exec.failure option -> worker:int -> unit) ->
   unit
 (** Register a job and inject its sources; returns immediately. [interp]
-    executes op-encoded tasks exactly as in {!Real_exec.run_dataflow};
+    executes closure-free op-encoded tasks (see {!Task.op});
     [deadline_ns] (absolute, monotonic clock; default [max_int]) is the
     EDF component of every task's priority; [sctx] is the span context the
     job's task spans parent onto. [on_done] runs on the pool worker that
@@ -62,9 +63,25 @@ val run :
 (** Blocking convenience: {!submit} then wait for completion; raises
     {!Real_exec.Task_failed} on job failure. Steal/park figures in the
     returned stats are zero — they are pool-lifetime quantities, not
-    attributable to one job. Must not be called from a pool worker (a
-    worker waiting on its own pool is a lost lane; with one worker, a
-    deadlock). *)
+    attributable to one job. Raises [Invalid_argument] when called from a
+    worker of the same pool: a worker waiting on its own pool is a lost
+    lane, and with one worker a deadlock. *)
+
+val run_once :
+  ?interp:(Task.op -> unit) -> ?trace:bool -> workers:int -> Dag.t -> Real_exec.stats
+(** Run one DAG on a pool of [workers] workers made for this call: the
+    calling domain is worker 0 and [workers - 1] domains are spawned, then
+    joined before it returns, also when the job fails (raising
+    {!Real_exec.Task_failed}). Idle pool domains are not free — a parked
+    domain still takes part in every stop-the-world minor collection — so
+    a process that runs DAGs between sequential work should not keep one
+    alive. With [trace] (default [XSC_TRACE] in the environment) every
+    worker records the start and finish of the job's tasks into its own
+    domain's ring, merged into the returned trace (one entry per task,
+    [worker] below [workers]). Steal and park figures are [runtime.*]
+    registry deltas, exact because they are read after every worker has
+    flushed, assuming no other pool runs meanwhile.
+    Raises [Invalid_argument] if a task lacks a body or [workers < 1]. *)
 
 val shutdown : t -> unit
 (** Reject further submissions, let in-flight jobs drain, then join all

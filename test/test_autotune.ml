@@ -278,6 +278,20 @@ let test_cache_malformed_payload () =
       check_load_error "valid CRC, absurd shape id" Kconfig.Bad_crc
         (Kconfig.load ~path ()))
 
+(* Header: 8-byte magic, version byte, 8-byte payload length at offset 9,
+   CRC at 17. *)
+let test_cache_fuzz () =
+  with_tmp_cache (fun path ->
+      Kconfig.save ~path (sample_cache ());
+      ignore
+        (Decoder_fuzz.sweep ~name:"kconfig" ~load:(fun path -> Kconfig.load ~path ()) ~equal:( = )
+           path);
+      Decoder_fuzz.flip_sign_bit path ~pos:16;
+      check_load_error "negative length" Kconfig.Truncated (Kconfig.load ~path ());
+      P.reset_cfgs ();
+      Alcotest.(check bool) "autoload refuses the corrupt cache" false (Kconfig.autoload ~path ());
+      Alcotest.(check bool) "configs stay default" true (P.cfg P.F64 P.Gemm_nn = P.default_cfg))
+
 let test_cache_no_such_file_and_fallback () =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "xsc-ktune-absent.bin" in
   (try Sys.remove path with Sys_error _ -> ());
@@ -392,6 +406,7 @@ let () =
           Alcotest.test_case "absent file fallback" `Quick
             test_cache_no_such_file_and_fallback;
           Alcotest.test_case "apply installs" `Quick test_cache_apply_installs;
+          Alcotest.test_case "every flip and truncation typed" `Quick test_cache_fuzz;
         ] );
       ( "kernel_tune",
         [

@@ -74,7 +74,7 @@ let test_tracer_records_events () =
   let t = Tracer.create ~domains:2 ~capacity:16 in
   Tracer.record t ~domain:0 Tracer.Task_start ~arg:5;
   Tracer.record t ~domain:0 Tracer.Task_finish ~arg:5;
-  Tracer.record t ~domain:1 Tracer.Steal ~arg:0;
+  Tracer.record t ~domain:1 Tracer.Barrier_enter ~arg:0;
   let e0 = Tracer.events t ~domain:0 in
   let e1 = Tracer.events t ~domain:1 in
   Alcotest.(check int) "domain 0 events" 2 (List.length e0);

@@ -644,6 +644,30 @@ let test_flight_torn_write () =
       write_file path (Bytes.sub b 0 4);
       check_flight_error "torn header" Checkpoint.Truncated path)
 
+(* Header: 7-byte magic, version byte, 8-byte payload length at offset 8,
+   CRC at 16. *)
+let test_load_fuzz () =
+  let m = Mat.random (Rng.create 5) 3 3 in
+  with_temp_ckpt (fun path ->
+      ignore (Checkpoint.save path m);
+      let mutations =
+        Decoder_fuzz.sweep ~name:"checkpoint" ~load:Checkpoint.load
+          ~equal:(fun a b -> a.Mat.rows = b.Mat.rows && a.Mat.cols = b.Mat.cols && a.Mat.data = b.Mat.data)
+          path
+      in
+      Alcotest.(check bool) "every mutation tried" true (mutations > 900);
+      Decoder_fuzz.flip_sign_bit path ~pos:15;
+      check_load_error "negative length" Checkpoint.Truncated path)
+
+let test_flight_fuzz () =
+  Flight.clear ();
+  Flight.record (flight_entry ~request:3 ());
+  with_temp_ckpt (fun path ->
+      ignore (Flight.dump ~path ~reason:"fuzz");
+      ignore (Decoder_fuzz.sweep ~name:"flight" ~load:Flight.read ~equal:( = ) path);
+      Decoder_fuzz.flip_sign_bit path ~pos:15;
+      check_flight_error "negative length" Checkpoint.Truncated path)
+
 let test_flight_bad_crc () =
   Flight.clear ();
   Flight.record (flight_entry ());
@@ -767,6 +791,7 @@ let () =
           Alcotest.test_case "generic value round-trip" `Quick
             test_save_value_generic_roundtrip;
           Alcotest.test_case "atomic overwrite" `Quick test_save_overwrites_atomically;
+          Alcotest.test_case "every flip and truncation typed" `Quick test_load_fuzz;
         ] );
       ( "flight recorder",
         [
@@ -776,5 +801,6 @@ let () =
           Alcotest.test_case "bad crc rejected" `Quick test_flight_bad_crc;
           Alcotest.test_case "magic separation" `Quick test_flight_magic_separation;
           Alcotest.test_case "dump-once guard" `Quick test_flight_dump_once;
+          Alcotest.test_case "every flip and truncation typed" `Quick test_flight_fuzz;
         ] );
     ]

@@ -7,6 +7,7 @@ module Sim_exec = Xsc_runtime.Sim_exec
 module Real_exec = Xsc_runtime.Real_exec
 module Deque = Xsc_runtime.Deque
 module Trace = Xsc_runtime.Trace
+module Pool = Xsc_runtime.Pool
 module Rng = Xsc_util.Rng
 
 let qcheck tc = QCheck_alcotest.to_alcotest tc
@@ -325,7 +326,7 @@ let test_real_dataflow_matches_sequential () =
   let dag_seq, cells_seq = accumulation_dag 60 in
   ignore (Real_exec.run_sequential dag_seq);
   let dag_par, cells_par = accumulation_dag 60 in
-  let stats = Real_exec.run_dataflow ~workers:4 dag_par in
+  let stats = Pool.run_once ~workers:4 dag_par in
   Alcotest.(check int) "all tasks ran" 60 stats.Real_exec.tasks;
   (* per-datum chains are serialised by Read_write dependences, so the
      result must be bitwise identical to sequential execution *)
@@ -348,14 +349,14 @@ let test_real_dataflow_parallel_independent () =
           ~run:(fun () -> Atomic.incr counter)
           [ Task.Write id ])
   in
-  let stats = Real_exec.run_dataflow ~workers:4 (Dag.build tasks) in
+  let stats = Pool.run_once ~workers:4 (Dag.build tasks) in
   Alcotest.(check int) "all ran exactly once" 32 (Atomic.get counter);
   Alcotest.(check bool) "elapsed sane" true (stats.Real_exec.elapsed >= 0.0)
 
 let test_real_missing_closure () =
   let dag = Dag.build [ Task.make ~id:0 ~name:"bare" ~flops:1.0 [ Task.Write 0 ] ] in
   Alcotest.check_raises "no body" (Invalid_argument "Real_exec: task without body: bare")
-    (fun () -> ignore (Real_exec.run_dataflow ~workers:2 dag))
+    (fun () -> ignore (Pool.run_once ~workers:2 dag))
 
 (* Closure-free dispatch: op-encoded tasks run through a single interpreter
    with no per-task closures, on every executor. The Gemm coordinates are
@@ -381,7 +382,7 @@ let test_op_dispatch_all_executors () =
   let seq, cells_seq = run_op_dag (fun ~interp d -> Real_exec.run_sequential ~interp d) in
   Alcotest.(check int) "sequential ran all" 60 seq.Real_exec.tasks;
   let df, cells_df =
-    run_op_dag (fun ~interp d -> Real_exec.run_dataflow ~interp ~workers:4 d)
+    run_op_dag (fun ~interp d -> Pool.run_once ~interp ~workers:4 d)
   in
   Alcotest.(check int) "dataflow ran all" 60 df.Real_exec.tasks;
   Alcotest.(check (array (float 0.0))) "dataflow matches sequential" cells_seq cells_df;
@@ -396,7 +397,7 @@ let test_op_without_interp_rejected () =
      fail up front, not mid-flight *)
   let dag = Dag.build [ Task.make ~id:0 ~name:"op" ~flops:1.0 ~op:(Task.Potrf 0) [ Task.Write 0 ] ] in
   Alcotest.check_raises "no interp" (Invalid_argument "Real_exec: task without body: op")
-    (fun () -> ignore (Real_exec.run_dataflow ~workers:2 dag))
+    (fun () -> ignore (Pool.run_once ~workers:2 dag))
 
 let test_op_name () =
   Alcotest.(check string) "potrf" "potrf(2,2)" (Task.op_name (Task.Potrf 2));
@@ -405,7 +406,7 @@ let test_op_name () =
   Alcotest.(check string) "trsm_l" "trsm_l(0,2)" (Task.op_name (Task.Trsm_l (0, 2)))
 
 let test_real_empty_dag () =
-  let stats = Real_exec.run_dataflow ~workers:4 (Dag.build []) in
+  let stats = Pool.run_once ~workers:4 (Dag.build []) in
   Alcotest.(check int) "no tasks" 0 stats.Real_exec.tasks
 
 let test_default_workers () =
@@ -413,7 +414,7 @@ let test_default_workers () =
   Alcotest.(check bool) "1..8" true (w >= 1 && w <= 8)
 
 (* ---- executor fault paths: a raising task body must abort the run
-   cleanly (ready queues dropped, parked workers woken, domains joined) and
+   cleanly (no dependent runs, every worker drained or joined) and
    surface as Task_failed carrying the task's identity ---- *)
 
 let failing_chain n fail_at =
@@ -444,11 +445,11 @@ let test_task_failed_sequential () =
 
 let test_task_failed_dataflow () =
   (* repeated runs shake out lost-wakeup races in the abort path: the chain
-     keeps at most one task ready, so three of the four workers are parked
-     on the idle condvar when the failure fires — a missed broadcast would
-     deadlock the join *)
+     keeps at most one task ready, so three of the four pool workers are
+     parked when the failure fires — a missed wakeup would leave the job
+     undrained and the blocking run waiting forever *)
   for _ = 1 to 20 do
-    check_task_failed "dataflow" (fun d -> Real_exec.run_dataflow ~workers:4 d)
+    check_task_failed "dataflow" (fun d -> Pool.run_once ~workers:4 d)
   done
 
 let test_task_failed_forkjoin () =
@@ -465,7 +466,7 @@ let test_task_failed_wide_dataflow () =
           let run () = if id = 40 then failwith "mid" else () in
           Task.make ~id ~name:(Printf.sprintf "w%d" id) ~flops:1.0 ~run [ Task.Write id ])
     in
-    match Real_exec.run_dataflow ~workers:4 (Dag.build tasks) with
+    match Pool.run_once ~workers:4 (Dag.build tasks) with
     | _ -> Alcotest.fail "expected Task_failed"
     | exception Real_exec.Task_failed f ->
       Alcotest.(check int) "failed id" 40 f.Real_exec.failed_task
@@ -474,9 +475,9 @@ let test_task_failed_wide_dataflow () =
 let test_executor_reusable_after_failure () =
   (* an aborted run must leave no residue that breaks the next run *)
   let dag, _ = failing_chain 20 10 in
-  (try ignore (Real_exec.run_dataflow ~workers:4 dag) with Real_exec.Task_failed _ -> ());
+  (try ignore (Pool.run_once ~workers:4 dag) with Real_exec.Task_failed _ -> ());
   let dag_ok, cells = accumulation_dag 40 in
-  let stats = Real_exec.run_dataflow ~workers:4 dag_ok in
+  let stats = Pool.run_once ~workers:4 dag_ok in
   Alcotest.(check int) "clean run completes" 40 stats.Real_exec.tasks;
   let dag_ref, cells_ref = accumulation_dag 40 in
   ignore (Real_exec.run_sequential dag_ref);
@@ -493,18 +494,16 @@ let test_task_failures_counted () =
   (try ignore (Real_exec.run_sequential dag) with Real_exec.Task_failed _ -> ());
   Alcotest.(check int) "failure tallied" (before + 1) (value ())
 
-(* qcheck oracle over random accumulation DAGs: the work-stealing executor
-   (with and without a priority hook) must reproduce sequential results
-   bit-for-bit at any worker count. *)
+(* qcheck oracle over random accumulation DAGs: the work-stealing pool
+   must reproduce sequential results bit-for-bit at any worker count. *)
 let prop_dataflow_bitwise_oracle =
   QCheck.Test.make ~name:"dataflow = sequential bitwise on random DAGs" ~count:15
-    QCheck.(triple (int_range 8 80) (int_range 1 8) bool)
-    (fun (n, workers, with_priority) ->
+    QCheck.(pair (int_range 8 80) (int_range 1 8))
+    (fun (n, workers) ->
       let dag_seq, cells_seq = accumulation_dag n in
       ignore (Real_exec.run_sequential dag_seq);
       let dag_par, cells_par = accumulation_dag n in
-      let priority = if with_priority then Some (fun id -> n - id) else None in
-      let stats = Real_exec.run_dataflow ?priority ~workers dag_par in
+      let stats = Pool.run_once ~workers dag_par in
       stats.Real_exec.tasks = n && cells_seq = cells_par)
 
 (* ---- oracle: tiled factorizations on real domains ---- *)
@@ -545,13 +544,7 @@ let factorization_oracle ~name ~dag_of ~make_input sizes =
       List.iter
         (fun workers ->
           let w = string_of_int workers in
-          check_variant ("dataflow w=" ^ w) (Real_exec.run_dataflow ~workers);
-          check_variant
-            ("dataflow+cp w=" ^ w)
-            (fun dag ->
-              Real_exec.run_dataflow
-                ~priority:(Xsc_core.Runtime_api.critical_path_priority dag)
-                ~workers dag);
+          check_variant ("dataflow w=" ^ w) (Pool.run_once ~workers);
           check_variant ("forkjoin w=" ^ w) (Real_exec.run_forkjoin ~workers))
         [ 1; 2; 4; 8 ])
     sizes
@@ -580,7 +573,7 @@ let test_dataflow_stats_reported () =
           ~run:(fun () -> Atomic.incr counter)
           [ Task.Write id ])
   in
-  let stats = Real_exec.run_dataflow ~workers:4 (Dag.build tasks) in
+  let stats = Pool.run_once ~workers:4 (Dag.build tasks) in
   Alcotest.(check int) "all ran" 64 (Atomic.get counter);
   Alcotest.(check bool) "steals >= 0" true (stats.Real_exec.steals >= 0);
   Alcotest.(check bool) "parks >= 0" true (stats.Real_exec.parks >= 0)
@@ -676,7 +669,7 @@ let traced_cholesky ~seed ~executor () =
   let dag = Xsc_core.Cholesky.dag tiles in
   let stats =
     match executor with
-    | `Dataflow -> Real_exec.run_dataflow ~trace:true ~workers:4 dag
+    | `Dataflow -> Pool.run_once ~trace:true ~workers:4 dag
     | `Forkjoin -> Real_exec.run_forkjoin ~trace:true ~workers:4 dag
   in
   (dag, stats)
@@ -688,8 +681,8 @@ let test_traced_run_bitwise_identical () =
   let a = Mat.random_spd rng 32 in
   let t_off = Tile.of_mat ~nb:8 a in
   let t_on = Tile.of_mat ~nb:8 a in
-  ignore (Real_exec.run_dataflow ~trace:false ~workers:4 (Xsc_core.Cholesky.dag t_off));
-  let s = Real_exec.run_dataflow ~trace:true ~workers:4 (Xsc_core.Cholesky.dag t_on) in
+  ignore (Pool.run_once ~trace:false ~workers:4 (Xsc_core.Cholesky.dag t_off));
+  let s = Pool.run_once ~trace:true ~workers:4 (Xsc_core.Cholesky.dag t_on) in
   Alcotest.(check bool) "trace present when asked" true (s.Real_exec.trace <> None);
   Alcotest.(check bool) "factorization bitwise identical" true
     (tiles_bitwise_equal t_off t_on)
@@ -697,7 +690,7 @@ let test_traced_run_bitwise_identical () =
 let test_untraced_has_no_trace () =
   let rng = Rng.create 13 in
   let a = Mat.random_spd rng 16 in
-  let s = Real_exec.run_dataflow ~workers:2 (Xsc_core.Cholesky.dag (Tile.of_mat ~nb:8 a)) in
+  let s = Pool.run_once ~workers:2 (Xsc_core.Cholesky.dag (Tile.of_mat ~nb:8 a)) in
   match Sys.getenv_opt "XSC_TRACE" with
   | None -> Alcotest.(check bool) "no trace by default" true (s.Real_exec.trace = None)
   | Some _ -> ()
@@ -750,7 +743,7 @@ let test_steal_attempts_and_park_time () =
           ~run:(fun () -> Atomic.incr counter)
           [ Task.Write id ])
   in
-  let s = Real_exec.run_dataflow ~workers:4 (Dag.build tasks) in
+  let s = Pool.run_once ~workers:4 (Dag.build tasks) in
   Alcotest.(check bool) "attempts cover successes" true
     (s.Real_exec.steal_attempts >= s.Real_exec.steals);
   Alcotest.(check bool) "park time non-negative" true (s.Real_exec.park_time >= 0.0);
@@ -820,7 +813,6 @@ let test_hetero_validation () =
 
 module Prio = Xsc_runtime.Prio
 module Pqueue = Xsc_runtime.Pqueue
-module Pool = Xsc_runtime.Pool
 module PD = Xsc_tile.Packed.D
 
 let pk ?(bl = 0) ?(seq = 0) ?(tid = 0) d = Prio.make ~deadline_ns:d ~bl ~seq ~tid
@@ -1069,6 +1061,47 @@ let test_pool_run_and_lifecycle () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* One worker, source 0 feeding a leaf (1) and a four-task chain
+   (2 -> 3 -> 4 -> 5): when 0 completes, the chain head carries the deeper
+   bottom level, so it must be the child left on top of the deque. *)
+let test_pool_critical_child_first () =
+  let order = ref [] in
+  let t id access =
+    Task.make ~id ~name:(string_of_int id) ~flops:1.0 ~run:(fun () -> order := id :: !order) access
+  in
+  let dag =
+    Dag.build
+      [
+        t 0 [ Task.Write 0 ];
+        t 1 [ Task.Read 0; Task.Write 1 ];
+        t 2 [ Task.Read 0; Task.Write 2 ];
+        t 3 [ Task.Read 2; Task.Write 3 ];
+        t 4 [ Task.Read 3; Task.Write 4 ];
+        t 5 [ Task.Read 4; Task.Write 5 ];
+      ]
+  in
+  ignore (Pool.run_once ~workers:1 dag);
+  Alcotest.(check (list int)) "critical path before the leaf" [ 0; 2; 3; 4; 5; 1 ]
+    (List.rev !order)
+
+let one_task name run = Dag.build [ Task.make ~id:0 ~name ~flops:1.0 ~run [ Task.Write 0 ] ]
+
+(* A task that blocks on its own pool would hold the only lane while
+   waiting for it: [run] must refuse, not deadlock. *)
+let test_pool_run_from_own_worker () =
+  let inner = one_task "inner" (fun () -> ()) in
+  let nested pool = one_task "outer" (fun () -> ignore (Pool.run pool inner)) in
+  let pool = Pool.create ~workers:1 () and other = Pool.create ~workers:2 () in
+  (match Pool.run pool (nested pool) with
+  | _ -> Alcotest.fail "nested run on the same pool was accepted"
+  | exception Real_exec.Task_failed { Real_exec.error = Invalid_argument m; _ } ->
+    Alcotest.(check string) "typed refusal" "Pool.run: called from a worker of the same pool" m);
+  Alcotest.(check int) "pool still serves" 1 (Pool.run pool inner).Real_exec.tasks;
+  (* blocking on a different pool from a worker is allowed *)
+  Alcotest.(check int) "nested run on another pool" 1 (Pool.run other (nested pool)).Real_exec.tasks;
+  Pool.shutdown pool;
+  Pool.shutdown other
+
 let () =
   Alcotest.run "xsc_runtime"
     [
@@ -1187,6 +1220,10 @@ let () =
           Alcotest.test_case "EDF between jobs" `Quick test_pool_edf_between_jobs;
           Alcotest.test_case "blocking run and lifecycle" `Quick
             test_pool_run_and_lifecycle;
+          Alcotest.test_case "critical child runs first" `Quick
+            test_pool_critical_child_first;
+          Alcotest.test_case "run from own worker refused" `Quick
+            test_pool_run_from_own_worker;
         ] );
       ( "hetero",
         [
